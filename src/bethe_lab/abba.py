@@ -11,9 +11,12 @@ logarithmic derivative at L = i/2 reproduces the Hamiltonian.
 
 Everything here is computed by applying the site-by-site block recursion
 directly to state vectors (or to matrix column stacks), which keeps the
-cost at O(n 2^n) per application and lets the same code run either in
-complex128 or, for the severely cancelling Nepomechie-Wang vectors, in
-mpmath arbitrary precision.
+cost at O(n 2^n) per application.  A rapidity may also be a polynomial in
+a small parameter eps, given as the matrix of multiplication by it on
+eps-coefficient arrays; the same recursion then returns every
+eps-coefficient of the result.  The Nepomechie-Wang vectors, which
+vanish to order eps^n, are built that way in float64 with no
+cancellation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from . import hilbert
@@ -31,8 +33,10 @@ C1_SCHEME = "c1"
 C2_SCHEME = "c2"
 NAIVE_SCHEME = "naive"
 
-# below this value of epsilon^n the vector cancellation outruns float64
-AUTO_MP_THRESHOLD = 1e-8
+# eigen-residual below which the eps^n coefficient of the regularized
+# product is an eigenvector: ~1e-12 for physical singular solutions,
+# O(0.1) for non-physical ones
+LIMIT_TOL = 1e-8
 
 
 class PoleError(ValueError):
@@ -106,44 +110,39 @@ def apply_monodromy(lam, n: int, psi: np.ndarray):
     """Apply the four monodromy blocks at rapidity ``lam`` to ``psi``.
 
     ``psi`` has shape (2^n,) or (2^n, m); returns (A psi, B psi, C psi,
-    D psi).  Passing an mpmath rapidity together with an object-dtype
-    ``psi`` runs the recursion in arbitrary precision.
+    D psi).  ``lam`` is a number, or an (m, m) upper-triangular Toeplitz
+    matrix: a rapidity polynomial in eps acting on the eps-coefficients
+    held along the trailing axis of ``psi`` (column j carries eps^j, so
+    the shift ``np.eye(m, k=1)`` multiplies by eps).
     """
     dim = 1 << n
     psi = np.asarray(psi)
     if psi.shape[0] != dim:
         raise ValueError(f"state vector has dim {psi.shape[0]}, expected {dim}")
-    mp_mode = isinstance(lam, (mp.mpf, mp.mpc)) or psi.dtype == object
-    if mp_mode:
-        lam = mp.mpc(lam)
-        half_i = mp.mpc(0, 0.5)
-        unit_i = mp.mpc(0, 1)
+    if np.ndim(lam) == 2:
+        def times_lam(x):
+            return x @ lam
     else:
         lam = complex(lam)
-        half_i = 0.5j
-        unit_i = 1j
+
+        def times_lam(x):
+            return lam * x
     b_idx = np.arange(dim)
     extra = (1,) * (psi.ndim - 1)
-    a = bv = c = d = None
+    # T_0 is the identity and T_k = L_k T_(k-1)
+    zero = np.zeros(psi.shape, dtype=complex)
+    a, bv, c, d = psi, zero, zero, psi
     for k in range(1, n + 1):
         mask = 1 << (n - k)
         down = (b_idx & mask) != 0
         partner = b_idx ^ mask
-        zsign = np.where(down, -1.0, 1.0)
-        dplus = (lam + half_i * zsign).reshape(dim, *extra)
-        dminus = (lam - half_i * zsign).reshape(dim, *extra)
-        if k == 1:
-            a = dplus * psi
-            bv = unit_i * _site_flip(psi, down, partner)
-            c = unit_i * _site_flip(psi, ~down, partner)
-            d = dminus * psi
-        else:
-            a, bv, c, d = (
-                dplus * a + unit_i * _site_flip(c, down, partner),
-                dplus * bv + unit_i * _site_flip(d, down, partner),
-                unit_i * _site_flip(a, ~down, partner) + dminus * c,
-                unit_i * _site_flip(bv, ~down, partner) + dminus * d,
-            )
+        spin = np.where(down, -0.5j, 0.5j).reshape(dim, *extra)  # (i/2) sigma^3_k
+        a, bv, c, d = (
+            times_lam(a) + spin * a + 1j * _site_flip(c, down, partner),
+            times_lam(bv) + spin * bv + 1j * _site_flip(d, down, partner),
+            1j * _site_flip(a, ~down, partner) + times_lam(c) - spin * c,
+            1j * _site_flip(bv, ~down, partner) + times_lam(d) - spin * d,
+        )
     return a, bv, c, d
 
 
@@ -197,78 +196,63 @@ def perturbed_singular_roots(others, n: int, params: RegularizationParams):
     return [lam1, lam2, *[complex(z) for z in others]]
 
 
-def _auto_dps(eps: float, n: int) -> int:
-    return 30 + int(math.ceil(-n * math.log10(eps)))
+def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:
+    """eps-coefficients of B(L1) B(L2) B(L3) ... |0>, shape (2^n, n^2 + n + 1).
 
-
-def regularized_nw_vector(
-    rootset: RootSet, params: RegularizationParams, dps: int | None = None
-) -> np.ndarray:
-    """The Nepomechie-Wang vector eps^-n B(L1) B(L2) B(L3) ... |0>.
-
-    For a physical singular solution this converges, as eps -> 0, to a
-    non-zero eigenvector of the Hamiltonian.  The product collapses by a
-    factor eps^n, so once eps^n falls below float64 resolution the
-    recursion is run in mpmath (``dps=None`` selects the precision
-    automatically; ``dps=0`` forces float64).
+    With L1 = i/2 + eps + c eps^n and L2 = -i/2 + eps every component is
+    a polynomial of degree n^2 + n in eps.  Its coefficients below eps^n
+    vanish; the eps^n column is the Nepomechie-Wang limit vector.
     """
     n = rootset.n
     others = singular_partners(rootset.roots)
     if others is None:
         raise ValueError("root set does not contain the singular pair {i/2, -i/2}")
-    eps = params.epsilon
-    if dps is None:
-        dps = _auto_dps(eps, n) if eps**n < AUTO_MP_THRESHOLD else 0
-    if dps == 0:
-        psi = hilbert.vacuum_state(n)
-        for lam in reversed(perturbed_singular_roots(others, n, params)):
-            psi = apply_monodromy(lam, n, psi)[1]
-        return psi / eps**n
-    with mp.workdps(dps):
-        eps_mp = mp.mpf(eps)
-        c_mp = mp.mpc(params.c)
-        lam1 = mp.mpc(0, 0.5) + eps_mp + c_mp * eps_mp**n
-        lam2 = mp.mpc(0, -0.5) + eps_mp
-        lams = [lam1, lam2] + [mp.mpc(z) for z in others]
-        psi = np.array([mp.mpc(0)] * (1 << n), dtype=object)
-        psi[0] = mp.mpc(1)
-        for lam in reversed(lams):
-            psi = apply_monodromy(lam, n, psi)[1]
-        psi = psi / eps_mp**n
-        return np.array([complex(z) for z in psi], dtype=complex)
+    m = n * n + n + 1
+    shift = np.eye(m, k=1)
+    lam1 = 0.5j * np.eye(m) + shift + c * np.eye(m, k=n)
+    lam2 = -0.5j * np.eye(m) + shift
+    psi = np.zeros((1 << n, m), dtype=complex)
+    psi[0, 0] = 1.0
+    for lam in reversed([lam1, lam2, *others]):
+        psi = apply_monodromy(lam, n, psi)[1]
+    return psi
+
+
+def _nw_at(series: np.ndarray, n: int, eps: float) -> np.ndarray:
+    """sum_{k >= n} series_k eps^(k - n): the series divided by eps^n."""
+    tail = series[:, n:]
+    return tail @ eps ** np.arange(tail.shape[1])
+
+
+def regularized_nw_vector(rootset: RootSet, params: RegularizationParams) -> np.ndarray:
+    """The Nepomechie-Wang vector eps^-n B(L1) B(L2) B(L3) ... |0>.
+
+    For a physical singular solution this converges, as eps -> 0, to a
+    non-zero eigenvector of the Hamiltonian.  The product vanishes to
+    order eps^n, so it is expanded exactly in eps and the terms from eps^n
+    on are summed in float64, with no cancellation at any eps.
+    """
+    return _nw_at(_nw_series(rootset, complex(params.c)), rootset.n, params.epsilon)
 
 
 @dataclass
 class RegularizationSweep:
-    """Convergence record of the regularized vector along an epsilon ladder.
+    """The regularized vector along an epsilon ladder, and its exact limit.
 
     ``residuals`` are the per-rung values ||H psi - E psi|| / ||psi||;
-    they shrink linearly in epsilon (the perturbation drags the state
-    direction at first order), so the zero-epsilon state is estimated by
-    first-order Richardson extrapolation of adjacent rungs.
-    ``limit_residuals`` and ``angles`` track those extrapolated
-    directions; the last entries certify the limit.
+    they shrink linearly in epsilon when the limit is an eigenvector.
+    ``limit_vector`` is the normalized eps^n coefficient of the product,
+    which is the eps -> 0 limit itself; ``converged`` states that its
+    residual ``limit_residual`` is at most ``LIMIT_TOL``.
     """
 
     scheme: str
     epsilons: tuple[float, ...]
     residuals: tuple[float, ...]
-    limit_residuals: tuple[float, ...]
-    angles: tuple[float, ...]
+    limit_residual: float
     converged: bool
     vectors: list[np.ndarray]
-    limit_vector: np.ndarray | None
-
-    @property
-    def limit_residual(self) -> float:
-        return self.limit_residuals[-1] if self.limit_residuals else float("inf")
-
-
-def _phase_align(reference: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    overlap = np.vdot(reference, vec)
-    if abs(overlap) == 0:
-        return vec
-    return vec * (overlap.conjugate() / abs(overlap))
+    limit_vector: np.ndarray
 
 
 def regularization_sweep(
@@ -276,73 +260,45 @@ def regularization_sweep(
     c: complex,
     scheme: str = C1_SCHEME,
     ladder: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
-    j: float = 1.0,
     energy: float | None = None,
-    dps: int | None = None,
 ) -> RegularizationSweep:
-    """Track the eigenvector residual of the regularized vector as eps shrinks.
+    """Eigenvector residuals of the regularized vector on a ladder and at eps -> 0.
 
-    Convergence requires the per-rung residuals to decrease
-    monotonically and the direction of the extrapolated limit to move by
-    less than 1e-3 radians between the last two ladder steps.  The
-    residual is measured against the supplied energy (Rayleigh quotient
-    when omitted).
+    The product is expanded in eps once; each rung sums that series and
+    the limit is its eps^n coefficient.  Residuals are taken on the
+    ell-magnon block, which holds the whole vector, against the supplied
+    energy (Rayleigh quotient when omitted).
     """
-    if len(ladder) < 2:
-        raise ValueError("the epsilon ladder needs at least two rungs")
-    h = hilbert.hamiltonian(rootset.n, j)
+    n = rootset.n
+    basis = hilbert.sector_basis(n, rootset.ell)
+    h = hilbert.sector_hamiltonian(n, rootset.ell)
 
-    def resid(vec: np.ndarray) -> float:
-        e = energy if energy is not None else float(np.real(vec.conj() @ (h @ vec)))
-        return float(np.linalg.norm(h @ vec - e * vec))
+    def unit_and_residual(psi: np.ndarray):
+        norm = np.linalg.norm(psi)
+        if norm == 0:
+            return psi, float("inf")
+        psi = psi / norm
+        v = psi[basis]
+        e = energy if energy is not None else float(np.real(v.conj() @ (h @ v)))
+        return psi, float(np.linalg.norm(h @ v - e * v))
 
+    series = _nw_series(rootset, complex(c))
     vectors: list[np.ndarray] = []
     residuals: list[float] = []
     for eps in ladder:
-        psi = regularized_nw_vector(
-            rootset, RegularizationParams(eps, complex(c), scheme), dps=dps
-        )
-        norm = np.linalg.norm(psi)
-        if norm > 0:
-            psi = psi / norm
-            if vectors:
-                psi = _phase_align(vectors[-1], psi)
-            residuals.append(resid(psi))
-        else:
-            residuals.append(float("inf"))
+        params = RegularizationParams(eps, complex(c), scheme)
+        psi, res = unit_and_residual(_nw_at(series, n, params.epsilon))
         vectors.append(psi)
-
-    limit_vectors: list[np.ndarray] = []
-    limit_residuals: list[float] = []
-    for (ea, va), (eb, vb) in zip(zip(ladder, vectors), zip(ladder[1:], vectors[1:])):
-        lim = (ea * vb - eb * va) / (ea - eb)
-        norm = np.linalg.norm(lim)
-        if norm == 0:
-            continue
-        lim = lim / norm
-        limit_vectors.append(lim)
-        limit_residuals.append(resid(lim))
-    angles = []
-    for prev, cur in zip(limit_vectors, limit_vectors[1:]):
-        overlap = min(1.0, abs(np.vdot(prev, cur)))
-        angles.append(float(math.acos(overlap)))
-    monotone = all(b < a for a, b in zip(residuals, residuals[1:]))
-    converged = (
-        monotone
-        and bool(angles)
-        and angles[-1] < 1e-3
-        and bool(limit_residuals)
-        and limit_residuals[-1] <= 1e-3
-    )
+        residuals.append(res)
+    limit_vector, limit_residual = unit_and_residual(series[:, n])
     return RegularizationSweep(
         scheme,
         tuple(ladder),
         tuple(residuals),
-        tuple(limit_residuals),
-        tuple(angles),
-        converged,
+        limit_residual,
+        limit_residual <= LIMIT_TOL,
         vectors,
-        limit_vectors[-1] if limit_vectors else None,
+        limit_vector,
     )
 
 

@@ -32,7 +32,7 @@ def _config(args) -> baesolver.SolverConfig:
 
 
 def _cmd_run(args) -> int:
-    report = pipeline.run_pipeline(args.n, args.j, _config(args))
+    report = pipeline.run_pipeline(args.n, _config(args))
     data = pipeline.emit_report(report, args.out, fmt="json")
     if args.csv:
         pipeline.emit_report(report, args.csv, fmt="csv")
@@ -112,7 +112,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="full pipeline with report")
     p_run.add_argument("--n", type=int, required=True)
-    p_run.add_argument("--j", type=float, default=1.0)
     p_run.add_argument("--out", default="report.json")
     p_run.add_argument("--csv", default=None, help="also write a CSV solution table")
     _add_solver_args(p_run)

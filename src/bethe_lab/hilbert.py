@@ -21,7 +21,6 @@ SECTOR_DIM_CAP = 10_000
 
 # provenance tags for spectrum entries
 EXACT_DIAG = "exact_diag"
-REGULAR_BETHE = "regular_bethe"
 PHYSICAL_SINGULAR = "physical_singular"
 
 PAULI = {

@@ -48,7 +48,6 @@ class SectorReport:
 @dataclass
 class RunReport:
     n: int
-    j: float
     seed: int
     sectors: list[SectorReport]
     diag_spectrum: list[hilbert.SpectrumEntry]
@@ -135,9 +134,7 @@ def _sector_report(n: int, ell: int, cfg: baesolver.SolverConfig) -> SectorRepor
     return SectorReport(ell, len(rcs), records, pairing)
 
 
-def run_pipeline(
-    n: int, j: float = 1.0, cfg: baesolver.SolverConfig | None = None
-) -> RunReport:
+def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport:
     """Solve all sectors, diagonalize, and reconcile the spectra."""
     cfg = cfg or baesolver.SolverConfig()
     if not 2 <= n <= hilbert.max_chain_length():
@@ -191,7 +188,7 @@ def run_pipeline(
         "dimension_check": sum(m for _, m in diag_levels) == 2**n,
     }
     return RunReport(
-        n, j, cfg.seed, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit
+        n, cfg.seed, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit
     )
 
 
@@ -252,7 +249,6 @@ def report_to_dict(report: RunReport) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "n": report.n,
-        "j": _sig12(report.j),
         "seed": report.seed,
         "sectors": sectors,
         "diag_spectrum": _levels_json(

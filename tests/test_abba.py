@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bethe_lab import abba, hilbert
-from bethe_lab.baesolver import RootSet, nw_constants
+from bethe_lab.baesolver import NONPHYSICAL_SINGULAR, PHYSICAL_SINGULAR, RootSet, nw_constants
 
 
 def _random_lams(count, seed, box=1.0):
@@ -316,7 +316,8 @@ def test_four_site_naive_scheme_fails():
 
 
 def test_six_site_triple_regularized_vector():
-    # needs extended precision: eps^6 is below float64 resolution
+    # eps^6 is below float64 resolution: a plain float64 product would
+    # cancel to rounding noise, the exact eps-expansion does not
     rs = RootSet(6, (0.5j, 0.0, -0.5j))
     c1, c2 = nw_constants(rs)
     assert abs(c1 - c2) < 1e-12
@@ -336,10 +337,30 @@ def test_regularized_vector_rejects_regular_input():
         )
 
 
-def test_mp_and_float_paths_agree():
+def test_series_matches_direct_float_product():
+    # at eps = 1e-2, n = 4 the plain float64 product still keeps ~8 digits
     rs = RootSet(4, (0.5j, -0.5j))
     c1, _ = nw_constants(rs)
     params = abba.RegularizationParams(1e-2, c1)
-    lo = abba.regularized_nw_vector(rs, params, dps=0)
-    hi = abba.regularized_nw_vector(rs, params, dps=40)
-    assert np.abs(lo - hi).max() <= 1e-6 * np.abs(hi).max()
+    psi = hilbert.vacuum_state(4)
+    for lam in reversed(abba.perturbed_singular_roots((), 4, params)):
+        psi = abba.apply_monodromy(lam, 4, psi)[1]
+    reference = psi / params.epsilon**4
+    vec = abba.regularized_nw_vector(rs, params)
+    assert np.abs(vec - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+def test_nw_series_vanishes_below_eps_n(solved):
+    checked = 0
+    for n in (6, 8):
+        for ell in range(2, n // 2 + 1):
+            for s in solved(n, ell):
+                if s.classification not in (PHYSICAL_SINGULAR, NONPHYSICAL_SINGULAR):
+                    continue
+                c1, _ = nw_constants(s)
+                series = abba._nw_series(s, c1)
+                assert series.shape == (1 << n, n * n + n + 1)
+                limit = np.abs(series[:, n]).max()
+                assert np.abs(series[:, :n]).max() <= 1e-10 * limit, s
+                checked += 1
+    assert checked >= 10

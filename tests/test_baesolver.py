@@ -232,9 +232,6 @@ def test_multiset_eq_handles_conjugate_ordering():
 def test_physicality_criterion_matches_vector_convergence(solved):
     checked = 0
     for n in (4, 6, 8):
-        # the n=8 imaginary-pair state converges with a larger drift
-        # constant, so its ladder starts one octave lower
-        ladder = (1e-2, 5e-3, 2.5e-3) if n < 8 else (5e-3, 2.5e-3, 1.25e-3)
         for ell in range(2, n // 2 + 1):
             for s in solved(n, ell):
                 if s.classification not in (
@@ -243,7 +240,7 @@ def test_physicality_criterion_matches_vector_convergence(solved):
                 ):
                     continue
                 c1, _ = bs.nw_constants(s)
-                sweep = abba.regularization_sweep(s, c1, ladder=ladder)
+                sweep = abba.regularization_sweep(s, c1)
                 expected = s.classification == bs.PHYSICAL_SINGULAR
                 assert sweep.converged == expected, (s, sweep.residuals)
                 checked += 1
