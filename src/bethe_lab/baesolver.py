@@ -23,6 +23,7 @@ regularization constants agree.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +40,10 @@ DEDUP_TOL = 1e-7
 NEWTON_TOL = 1e-11
 
 _DIVERGED_ABS = 50.0  # iterates beyond this radius are written off
+
+SEED_STRATEGIES = frozenset(
+    {"random_real", "random_complex", "string_hypothesis", "symmetric_pairs"}
+)
 
 
 class StrangeRootsError(ValueError):
@@ -68,9 +73,7 @@ class SolverConfig:
     newton_tol: float = NEWTON_TOL
     n_random_starts: int = 300  # per seed family and sector
     seed: int = 42
-    seed_strategies: frozenset[str] = frozenset(
-        {"random_real", "random_complex", "string_hypothesis", "symmetric_pairs"}
-    )
+    seed_strategies: frozenset[str] = SEED_STRATEGIES
     tol_equal: float = TOL_EQUAL
     tol_singular: float = TOL_SINGULAR
     dedup_tol: float = DEDUP_TOL
@@ -84,9 +87,20 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
-        for name in ("newton_tol", "tol_equal", "tol_singular", "dedup_tol"):
+        if self.n_random_starts < 1:
+            raise ValueError("n_random_starts must be >= 1")
+        for name in (
+            "newton_tol", "tol_equal", "tol_singular", "dedup_tol", "strange_guard"
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.seed_strategies or not SEED_STRATEGIES.issuperset(
+            self.seed_strategies
+        ):
+            raise ValueError(
+                f"seed_strategies must be a non-empty subset of "
+                f"{sorted(SEED_STRATEGIES)}, got {sorted(self.seed_strategies)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -122,28 +136,34 @@ def _has_duplicates(roots, tol: float) -> bool:
     )
 
 
-def _power_sums(roots) -> np.ndarray:
-    z = np.asarray(roots, dtype=complex)
-    return np.array([np.sum(z**m) for m in range(1, len(z) + 1)])
-
-
 def multiset_eq(a, b, tol: float) -> bool:
-    """Whether two root multisets coincide within ``tol`` per root."""
+    """Whether two root multisets coincide within ``tol`` per root.
+
+    True when the roots of ``a`` can be paired one-to-one with those of
+    ``b`` so that every pair lies within ``tol``: a perfect matching in
+    the bipartite graph of in-tolerance pairs.  The matching is built by
+    backtracking along augmenting paths, so a root whose partners are
+    all taken may move an earlier root onto another partner, as the
+    repeated roots of snapped strange sets need.  This is the exact
+    min-over-permutations test in O(ell^3) rather than ell! steps.
+    """
     a = [complex(z) for z in a]
     b = [complex(z) for z in b]
     if len(a) != len(b):
         return False
-    if len(a) == 0:
-        return True
-    scale = max(1.0, max(abs(z) for z in a + b))
-    if np.abs(_power_sums(a) - _power_sums(b)).max() > 10 * tol * len(a) * scale ** len(a):
+    near = [[j for j, y in enumerate(b) if abs(x - y) <= tol] for x in a]
+    owner = [-1] * len(b)  # owner[j]: index in ``a`` matched to b[j]
+
+    def place(i: int, seen: set[int]) -> bool:
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] < 0 or place(owner[j], seen):
+                    owner[j] = i
+                    return True
         return False
-    # confirm with an exact min-over-permutations matching (ell is small)
-    best = min(
-        max(abs(x - y) for x, y in zip(a, perm))
-        for perm in itertools.permutations(b)
-    )
-    return best <= tol
+
+    return all(place(i, set()) for i in range(len(a)))
 
 
 def _is_self_conjugate(roots, tol: float) -> bool:
@@ -589,36 +609,92 @@ def _collect_candidates(lam, res, conv, n: int, cfg: SolverConfig, reduced: bool
     return accepted
 
 
+class _SumIndex:
+    """Kept root sets, searchable by the key ``Re(sum of roots)``.
+
+    If ``multiset_eq(a, b, tol)`` holds then ``|Re sum a - Re sum b| <=
+    ell * tol``, so a candidate is compared only with the kept sets whose
+    key lies in that window (widened by a float-rounding slack), found by
+    bisection in the sorted keys.  Candidates are tried in insertion
+    order, so the answers equal a scan over every kept set.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.roots: list[tuple[complex, ...]] = []  # in insertion order
+        self._keys: list[float] = []  # sorted
+        self._ids: list[int] = []  # entry of each sorted key
+
+    @staticmethod
+    def _key(roots) -> float:
+        return sum(complex(z).real for z in roots)
+
+    def _insert(self, k: int) -> None:
+        key = self._key(self.roots[k])
+        pos = bisect_left(self._keys, key)
+        self._keys.insert(pos, key)
+        self._ids.insert(pos, k)
+
+    def add(self, roots) -> None:
+        self.roots.append(roots)
+        self._insert(len(self.roots) - 1)
+
+    def replace(self, k: int, roots) -> None:
+        """Swap the roots of entry ``k`` and re-key it."""
+        pos = bisect_left(self._keys, self._key(self.roots[k]))
+        while self._ids[pos] != k:
+            pos += 1
+        del self._keys[pos], self._ids[pos]
+        self.roots[k] = roots
+        self._insert(k)
+
+    def first_match(self, roots) -> int | None:
+        """Earliest kept entry equal to ``roots`` as a multiset, if any."""
+        key = self._key(roots)
+        width = len(roots) * self.tol + 1e-9 * (1.0 + sum(abs(z) for z in roots))
+        lo = bisect_left(self._keys, key - width)
+        hi = bisect_right(self._keys, key + width)
+        for k in sorted(self._ids[lo:hi]):
+            if multiset_eq(roots, self.roots[k], self.tol):
+                return k
+        return None
+
+
 def _dedup(cands: list[tuple[complex, ...]], tol: float) -> list[tuple[complex, ...]]:
-    kept: list[tuple[complex, ...]] = []
+    index = _SumIndex(tol)
     for roots in cands:
-        if not any(multiset_eq(roots, prev, tol) for prev in kept):
-            kept.append(roots)
-    return kept
+        if index.first_match(roots) is None:
+            index.add(roots)
+    return index.roots
 
 
 def _dedup_pairs(cands, tol: float):
     """Deduplicate (roots, residual) pairs, keeping the smaller residual."""
-    kept: list[list] = []
+    index = _SumIndex(tol)
+    residuals: list[float] = []
     for roots, res in cands:
-        for entry in kept:
-            if multiset_eq(roots, entry[0], tol):
-                if res < entry[1]:
-                    entry[0], entry[1] = roots, res
-                break
-        else:
-            kept.append([roots, res])
-    return [(roots, res) for roots, res in kept]
+        k = index.first_match(roots)
+        if k is None:
+            index.add(roots)
+            residuals.append(res)
+        elif res < residuals[k]:
+            index.replace(k, roots)
+            residuals[k] = res
+    return list(zip(index.roots, residuals))
 
 
 def _parity_close_pairs(cands, tol: float):
     """Add the negated partner of every solution (the system is odd in L)."""
-    out = [list(c) for c in cands]
+    index = _SumIndex(tol)
+    for roots, _ in cands:
+        index.add(roots)
+    out = list(cands)
     for roots, res in cands:
         neg = canonical_roots([-z for z in roots])
-        if not any(multiset_eq(neg, prev[0], tol) for prev in out):
-            out.append([neg, res])
-    return [(roots, res) for roots, res in out]
+        if index.first_match(neg) is None:
+            index.add(neg)
+            out.append((neg, res))
+    return out
 
 
 def _solve_reduced(n: int, ell: int, cfg: SolverConfig):

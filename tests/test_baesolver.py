@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -184,7 +185,7 @@ def test_solved_sectors_are_conjugation_closed(solved):
 
 
 def test_no_duplicate_solutions_as_multisets(solved):
-    for n, ell in ((6, 2), (6, 3), (8, 2)):
+    for n, ell in ((6, 2), (6, 3), (8, 2), (8, 4), (10, 5)):
         sols = [s.roots for s in solved(n, ell)]
         for i, a in enumerate(sols):
             for b in sols[i + 1 :]:
@@ -212,6 +213,29 @@ def test_count_identity_small_chains(solved):
         assert len(good) == count == bs.sector_target_count(n, ell)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed_strategies": frozenset()}, "seed_strategies"),
+        ({"seed_strategies": frozenset({"random-real"})}, "random-real"),
+        ({"seed_strategies": frozenset({"random_real", "random-complex"})}, "random-complex"),
+        ({"n_random_starts": 0}, "n_random_starts"),
+        ({"strange_guard": 0.0}, "strange_guard"),
+        ({"strange_guard": -1e-4}, "strange_guard"),
+    ],
+)
+def test_solver_config_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        bs.SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("strategy", sorted(bs.SEED_STRATEGIES))
+def test_each_seed_strategy_alone_solves(strategy):
+    cfg = bs.SolverConfig(seed_strategies=frozenset({strategy}), n_random_starts=20)
+    sols = bs.solve_sector(4, 1, cfg)
+    assert len([s for s in sols if s.classification == bs.REGULAR]) == 3
+
+
 def test_solve_sector_rejects_oversized_ell():
     with pytest.raises(ValueError):
         bs.solve_sector(4, 3)
@@ -222,6 +246,151 @@ def test_multiset_eq_handles_conjugate_ordering():
     b = (0.5 - 0.3j, 0.5 + 0.3j)
     assert bs.multiset_eq(a, b, 1e-12)
     assert not bs.multiset_eq(a, (0.5 + 0.3j, 0.4 - 0.3j), 1e-6)
+
+
+def test_multiset_eq_backtracks_over_repeated_roots():
+    # the first in-tolerance partner of 8e-4 is the first 0.0, but only
+    # 1.5e-3 can take 8e-4, so the match must move it there
+    tol = 1e-3
+    assert bs.multiset_eq((8e-4, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
+    assert bs.multiset_eq((0.0, 0.0, 1.5e-3), (8e-4, 0.0, 0.0), tol)
+    assert not bs.multiset_eq((0.0, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
+    # a snapped strange set matches itself in any order, not with one root swapped
+    snapped = (0.3 + 0.5j, 0.3 + 0.5j, 0.3 - 0.5j, 0.3 - 0.5j)
+    assert bs.multiset_eq(snapped, (0.3 - 0.5j, 0.3 + 0.5j) * 2, 1e-12)
+    assert not bs.multiset_eq(snapped, (0.3 + 0.5j,) * 3 + (0.3 - 0.5j,), 1e-3)
+
+
+def test_multiset_eq_edge_cases():
+    assert bs.multiset_eq((), (), 1e-7)
+    assert not bs.multiset_eq((), (0.0,), 1e-7)
+    assert not bs.multiset_eq((0.1, 0.2), (0.1, 0.2, 0.3), 1e-7)
+    assert not bs.multiset_eq((0.1, 0.2, 0.3), (0.1, 0.2), 1e-7)
+    # exact tolerance boundaries: |x - y| <= tol is inclusive
+    assert bs.multiset_eq((0.5,), (0.75,), 0.25)
+    assert not bs.multiset_eq((0.5,), (0.75,), np.nextafter(0.25, 0.0))
+    assert bs.multiset_eq((0j, 10.0), (10.0, 3 + 4j), 5.0)
+    assert not bs.multiset_eq((0j, 10.0), (10.0, 3 + 4j), np.nextafter(5.0, 0.0))
+
+
+def _min_over_permutations(a, b):
+    return min(max(abs(x - y) for x, y in zip(a, p)) for p in itertools.permutations(b))
+
+
+def test_multiset_eq_matches_min_over_permutations():
+    rng = np.random.default_rng(20261017)
+    for _ in range(600):
+        ell = int(rng.integers(1, 6))
+        pool = rng.normal(size=3) + 1j * rng.normal(size=3)
+        # draw from a small pool so that repeated roots are common
+        a = [complex(pool[k]) for k in rng.integers(3, size=ell)]
+        b = [a[k] + complex(*rng.normal(scale=1e-3, size=2)) for k in rng.permutation(ell)]
+        best = _min_over_permutations(a, b)
+        for tol in (best, np.nextafter(best, 0.0), 0.5 * best, 2.0 * best):
+            assert bs.multiset_eq(a, b, tol) == (best <= tol), (a, b, tol)
+
+
+# ---------------------------------------------------------------------------
+# candidate dedup: the root-sum index against O(K^2) brute force
+# ---------------------------------------------------------------------------
+
+
+def _ref_dedup(cands, tol):
+    kept = []
+    for roots in cands:
+        if not any(bs.multiset_eq(roots, prev, tol) for prev in kept):
+            kept.append(roots)
+    return kept
+
+
+def _ref_dedup_pairs(cands, tol):
+    kept = []
+    for roots, res in cands:
+        for entry in kept:
+            if bs.multiset_eq(roots, entry[0], tol):
+                if res < entry[1]:
+                    entry[:] = [roots, res]
+                break
+        else:
+            kept.append([roots, res])
+    return [tuple(entry) for entry in kept]
+
+
+def _ref_parity_close_pairs(cands, tol):
+    out = list(cands)
+    for roots, res in cands:
+        neg = bs.canonical_roots([-z for z in roots])
+        if not any(bs.multiset_eq(neg, prev, tol) for prev, _ in out):
+            out.append((neg, res))
+    return out
+
+
+def _candidates(seed, tol, count=300, ell=4):
+    """Near-duplicate-rich (roots, residual) lists for the dedup tests.
+
+    Half the base sets are parity symmetric ({x, -x, iy, -iy}), so their
+    root sums are all 0.  Variants of a base are exact copies, copies
+    with every root moved 0.9 tol (inside) or one root moved 1.1 tol
+    (outside), and chains that step every root 0.9 tol to the right with
+    a falling residual: each link replaces the kept set and re-keys it,
+    and the next link matches only the replaced set.
+    """
+    rng = np.random.default_rng(seed)
+    bases = []
+    for k in range(40):
+        if k % 2:
+            x, y = rng.uniform(0.1, 2.0, size=2)
+            bases.append([x, -x, 1j * y, -1j * y])
+        else:
+            bases.append(list(rng.uniform(-2, 2, size=ell) + 1j * rng.uniform(-1, 1, size=ell)))
+    chains = [0] * len(bases)
+    cands = []
+    for _ in range(count):
+        b = int(rng.integers(len(bases)))
+        roots = [complex(z) for z in bases[b]]
+        kind = rng.integers(4)
+        if kind == 1:
+            roots = [z + 0.9 * tol * np.exp(2j * np.pi * rng.uniform()) for z in roots]
+        elif kind == 2:
+            roots[int(rng.integers(ell))] += 1.1 * tol * np.exp(2j * np.pi * rng.uniform())
+        elif kind == 3:
+            chains[b] += 1
+            roots = [z + 0.9 * tol * chains[b] for z in roots]
+        res = 1e-12 / (1 + chains[b]) if kind == 3 else float(rng.uniform(1e-14, 1e-12))
+        cands.append((bs.canonical_roots(rng.permutation(roots)), res))
+    return cands
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tol", [1e-7, 1e-3])
+def test_dedup_index_matches_brute_force(seed, tol):
+    cands = _candidates(seed, tol)
+    roots_only = [roots for roots, _ in cands]
+    kept = bs._dedup(roots_only, tol)
+    assert kept == _ref_dedup(roots_only, tol)
+    assert len(kept) < len(cands)
+
+    pairs = bs._dedup_pairs(cands, tol)
+    assert pairs == _ref_dedup_pairs(cands, tol)
+    assert set(pairs) - set(cands) == set()
+
+    closed = bs._parity_close_pairs(pairs, tol)
+    assert closed == _ref_parity_close_pairs(pairs, tol)
+    assert len(pairs) < len(closed) < 2 * len(pairs)
+
+
+def test_dedup_pairs_rekeys_a_replaced_set():
+    tol = 1e-7
+    base = (1.0, 0.5, -0.25)
+    links = [tuple(z + 0.9 * tol * k for z in base) for k in range(4)]
+    cands = [(roots, 1e-12 / (1 + k)) for k, roots in enumerate(links)]
+    # each link matches its predecessor only; the last replaced set is kept
+    assert not bs.multiset_eq(links[0], links[2], tol)
+    assert bs._dedup_pairs(cands, tol) == [cands[-1]]
+    assert bs._dedup_pairs(cands, tol) == _ref_dedup_pairs(cands, tol)
+    # with rising residuals the first set stays and the chain breaks off
+    rising = [(roots, 1e-12 * (1 + k)) for k, roots in enumerate(links)]
+    assert bs._dedup_pairs(rising, tol) == [rising[0], rising[2]]
 
 
 # ---------------------------------------------------------------------------
