@@ -36,7 +36,16 @@ class NonHermitianError(ValueError):
 
 def max_chain_length() -> int:
     """Cap for dense 2**n constructions; override via BETHE_LAB_MAX_N."""
-    return int(os.environ.get("BETHE_LAB_MAX_N", DEFAULT_MAX_N))
+    raw = os.environ.get("BETHE_LAB_MAX_N")
+    if raw is None:
+        return DEFAULT_MAX_N
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # rejected below, with the same message as a value < 1
+    if cap < 1:
+        raise ValueError(f"BETHE_LAB_MAX_N must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _check_n(n: int) -> None:

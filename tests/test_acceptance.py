@@ -55,7 +55,7 @@ def test_criterion_02_four_site_regular_coverage(solved):
 
 def test_criterion_03_four_site_singular_recovery():
     t0 = time.perf_counter()
-    rs = bs.classify(RootSet(4, (0.5j, -0.5j)), bs.SolverConfig())
+    rs = bs.classify(RootSet(4, (0.5j, -0.5j)))
     assert rs.classification == bs.PHYSICAL_SINGULAR
     c1, c2 = bs.nw_constants(rs)
     assert abs(c1 - 2j) <= 1e-12 and abs(c2 - 2j) <= 1e-12

@@ -48,9 +48,9 @@ def test_singular_energy_requires_pair():
 
 
 def test_energy_of_dispatches_on_classification():
-    reg = bs.classify(RootSet(4, (0.5,)), bs.SolverConfig())
+    reg = bs.classify(RootSet(4, (0.5,)))
     assert energy.energy_of(reg).method == energy.REGULAR_FORMULA
-    sing = bs.classify(RootSet(4, (0.5j, -0.5j)), bs.SolverConfig())
+    sing = bs.classify(RootSet(4, (0.5j, -0.5j)))
     assert energy.energy_of(sing).method == energy.NW_THEOREM
     with pytest.raises(ValueError):
         energy.energy_of(RootSet(4, (0.5,)))  # unclassified

@@ -164,6 +164,21 @@ def test_chain_length_cap(monkeypatch):
         hilbert.vacuum_state(5)
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_chain_length_cap_rejects_bad_env(monkeypatch, raw):
+    monkeypatch.setenv("BETHE_LAB_MAX_N", raw)
+    with pytest.raises(ValueError, match=f"BETHE_LAB_MAX_N.*'{raw}'"):
+        hilbert.max_chain_length()
+
+
+def test_chain_length_cap_honours_env(monkeypatch):
+    monkeypatch.setenv("BETHE_LAB_MAX_N", "16")
+    assert hilbert.max_chain_length() == 16
+    hilbert.vacuum_state(16)  # 2**16 entries; above the default cap of 14
+    with pytest.raises(ValueError, match=r"\[1, 16\]"):
+        hilbert.vacuum_state(17)
+
+
 def test_sector_dimension_cap(monkeypatch):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "18")
     with pytest.raises(ValueError, match="exceeds cap"):

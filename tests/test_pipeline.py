@@ -109,7 +109,10 @@ def test_exit_code_on_count_shortfall(tmp_path):
 
 def test_merge_and_subtract_helpers():
     merged = pipeline.merge_levels([(1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)], 1e-8)
-    assert merged == [(1.0000000000005e00, 5), (2.0, 1)] or merged[0][1] == 5
+    # weighted mean (2 * 1 + 3 * (1 + 1e-12)) / 5 = 1 + 6e-13
+    assert len(merged) == 2
+    assert abs(merged[0][0] - (1.0 + 6e-13)) <= 1e-15 and merged[0][1] == 5
+    assert merged[1] == (2.0, 1)
     left = pipeline.multiset_subtract([(1.0, 5), (2.0, 1)], [(1.0, 2)], 1e-8)
     assert left == [(1.0, 3), (2.0, 1)]
     assert pipeline.multiset_subtract([(1.0, 2)], [(1.0, 2)], 1e-8) == []
