@@ -165,6 +165,34 @@ def transfer_apply(lam, n: int, psi: np.ndarray) -> np.ndarray:
     return a + d
 
 
+# generic point at which the restricted transfer matrix is diagonalized;
+# any point that separates the eigenvalues of t(u) will do
+_SPLIT_POINT = 0.9 * np.exp(0.7j)
+
+
+def transfer_eigenpolynomials(n: int, ell: int) -> np.ndarray:
+    """Coefficients of Lambda(u) on each highest-weight eigenstate of a sector.
+
+    Returns shape (d, n + 1), column j holding the coefficient of u^j,
+    one row per eigenstate of the d-dimensional highest-weight subspace
+    (ker S^+ in the ell-magnon sector), which every t(u) preserves.  t(u)
+    is a degree-n polynomial in u; its restricted coefficient matrices
+    C_j come from t at the n + 1 roots of unity by a discrete Fourier
+    transform.  One generic combination t(u*) = sum_j C_j u*^j is
+    diagonalized, and since the C_j commute, each eigenvector x gives
+    every coefficient as the Rayleigh quotient x^H C_j x.
+    """
+    basis = hilbert.highest_weight_basis(n, ell)
+    idx = hilbert.sector_basis(n, ell)
+    psi = np.zeros((1 << n, basis.shape[1]), dtype=complex)
+    psi[idx] = basis
+    nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    at_nodes = np.array([basis.T @ transfer_apply(u, n, psi)[idx] for u in nodes])
+    coeffs = np.fft.fft(at_nodes, axis=0) / (n + 1)  # coeffs[j] = C_j
+    _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(n + 1), coeffs, 1))
+    return np.einsum("ak,jab,bk->kj", vecs.conj(), coeffs, vecs)
+
+
 def _check_regular_roots(roots, tol_equal=TOL_EQUAL, tol_singular=TOL_SINGULAR):
     roots = [complex(z) for z in roots]
     for i, zi in enumerate(roots):

@@ -15,9 +15,13 @@ and cancelling its contribution leaves the reduced system
     G_k = (L_k + i/2)^(n-1) (L_k - 3i/2) prod' (L_k - L_j - i)
         - (L_k - i/2)^(n-1) (L_k + 3i/2) prod' (L_k - L_j + i) = 0
 
-for the remaining roots, which is what the dedicated singular pass
-solves.  A singular solution is physical when the two admissible
-regularization constants agree.
+for the remaining roots.  A singular solution is physical when the two
+admissible regularization constants agree.
+
+``solve_sector`` starts Newton once per highest-weight eigenstate, from
+the roots of the polynomial Q that solves Baxter's TQ relation with that
+state's transfer-matrix eigenvalue; such a Q exists exactly for the
+regular and physical singular solutions.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-
-from .rigged import partitions
 
 REGULAR = "regular"
 PHYSICAL_SINGULAR = "physical_singular"
@@ -42,17 +44,8 @@ TOL_SINGULAR = 1e-6
 DEDUP_TOL = 1e-7
 NEWTON_TOL = 1e-11
 MAX_NEWTON_ITERS = 60
-# converged iterates whose roots huddle closer than this are Newton
-# stalls at a coincident-root (strange) zero, where the Jacobian
-# degenerates; they are not Bethe states and are dropped.  Genuine
-# desk-scale solutions keep their roots separated by > 1e-2.
-STRANGE_GUARD = 1e-4
 
 _DIVERGED_ABS = 50.0  # iterates beyond this radius are written off
-
-SEED_STRATEGIES = frozenset(
-    {"random_real", "random_complex", "string_hypothesis", "symmetric_pairs"}
-)
 
 
 class StrangeRootsError(ValueError):
@@ -76,17 +69,17 @@ class RootSet:
         return singular_partners(self.roots) is not None
 
 
+# Settings of the former random multi-start, which the solver no longer
+# reads; kept because benchmark/workloads.py builds SolverConfig(seed=...),
+# benchmark/spans.py reads n_random_starts * len(seed_strategies) and
+# benchmark/make_nw_inputs.py calls dataclasses.asdict on it.
 @dataclass(frozen=True)
 class SolverConfig:
-    n_random_starts: int = 300  # per seed family and sector
+    n_random_starts: int = 300
     seed: int = 42
-    # every family is always used; kept because the benchmark's tracing
-    # hook reads len(cfg.seed_strategies)
-    seed_strategies: ClassVar[frozenset[str]] = SEED_STRATEGIES
-
-    def __post_init__(self):
-        if self.n_random_starts < 1:
-            raise ValueError("n_random_starts must be >= 1")
+    seed_strategies: ClassVar[frozenset[str]] = frozenset(
+        {"random_real", "random_complex", "string_hypothesis", "symmetric_pairs"}
+    )
 
 
 @dataclass(frozen=True)
@@ -129,9 +122,9 @@ def multiset_eq(a, b, tol: float) -> bool:
     ``b`` so that every pair lies within ``tol``: a perfect matching in
     the bipartite graph of in-tolerance pairs.  The matching is built by
     backtracking along augmenting paths, so a root whose partners are
-    all taken may move an earlier root onto another partner, as the
-    near-repeated roots of stalled candidates need.  This is the exact
-    min-over-permutations test in O(ell^3) rather than ell! steps.
+    all taken may move an earlier root onto another partner.  This is
+    the exact min-over-permutations test in O(ell^3) rather than ell!
+    steps.
     """
     a = [complex(z) for z in a]
     b = [complex(z) for z in b]
@@ -150,10 +143,6 @@ def multiset_eq(a, b, tol: float) -> bool:
         return False
 
     return all(place(i, set()) for i in range(len(a)))
-
-
-def _is_self_conjugate(roots, tol: float) -> bool:
-    return multiset_eq(roots, [z.conjugate() for z in roots], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +272,15 @@ def _batch_newton(starts: np.ndarray, n: int, reduced: bool):
     return lam, res, conv, iters
 
 
-# float64 cannot certify roots whose string deviations fall below ~1e-5
-# (the residual floors at eps/deviation: already ~1e-7 for the 1e-9
-# deviations that appear at n=10); iterates stalling under this
-# threshold are re-verified with an arbitrary-precision Newton, which
-# either certifies them below NEWTON_TOL or rejects them.
-_STALL_RES = 1e-5
-
-
 def _mp_polish(roots, n: int, reduced: bool):
-    """Arbitrary-precision Newton verification of a stalled candidate.
+    """Arbitrary-precision Newton verification of an uncertified iterate.
 
-    Runs ``_system`` and ``_jacobian`` on ``mpmath.mpc`` values at 50
-    digits and returns (roots, residual, ok); the residual certifies
-    string deviations far below the float64 noise floor.
+    float64 cannot certify roots whose string deviations fall below ~1e-5
+    (the residual floors at eps/deviation: already ~1e-7 for the 1e-9
+    deviations that appear at n=10).  This runs ``_system`` and
+    ``_jacobian`` on ``mpmath.mpc`` values at 50 digits and returns
+    (roots, residual, ok); ``ok`` means the residual is below NEWTON_TOL,
+    which certifies string deviations far below the float64 noise floor.
     """
     import mpmath as mp
 
@@ -406,84 +390,53 @@ def classify(rootset: RootSet) -> RootSet:
 
 
 # ---------------------------------------------------------------------------
-# multi-start driver
+# TQ-seeded sector solver
 # ---------------------------------------------------------------------------
 
 
-def _string_roots(center: float, length: int, rng: np.random.Generator) -> list[complex]:
-    """Conjugate-closed string seed with jittered widths.
+def _tq_roots(lam_coeffs, n: int, ell: int) -> np.ndarray:
+    """Roots of the monic degree-ell Q in Baxter's TQ relation.
 
-    Exact strings have consecutive spacings of exactly i, which lies on
-    a degenerate hyperplane of the polynomial system (a product factor
-    vanishes there), so the imaginary offsets are scaled away from it.
+    Lambda(u) Q(u) = (u + i/2)^n Q(u - i) + (u - i/2)^n Q(u + i) is linear
+    in the coefficients of Q, so with Q monic it is a least-squares
+    problem; ``lam_coeffs`` are the coefficients of Lambda, lowest first.
     """
-    roots = [0j] * length
-    for a in range(length // 2):
-        offset = 0.5 * (length - 1 - 2 * a) * float(rng.uniform(0.8, 1.25))
-        roots[a] = center + 1j * offset
-        roots[length - 1 - a] = center - 1j * offset
-    if length % 2:
-        roots[length // 2] = complex(center, 0.0)
-    return roots
+    poly = np.polynomial.polynomial
+    plus = poly.polypow([0.5j, 1.0], n)
+    minus = poly.polypow([-0.5j, 1.0], n)
+    cols = np.zeros((n + ell + 1, ell + 1), dtype=complex)
+    for k in range(ell + 1):
+        # the image of the monomial u^k
+        term = poly.polysub(
+            poly.polymul(lam_coeffs, [0.0] * k + [1.0]),
+            poly.polyadd(
+                poly.polymul(plus, poly.polypow([-1j, 1.0], k)),
+                poly.polymul(minus, poly.polypow([1j, 1.0], k)),
+            ),
+        )
+        cols[: len(term), k] = term
+    q = np.linalg.lstsq(cols[:, :ell], -cols[:, ell], rcond=None)[0]
+    return np.roots(np.append(q, 1.0)[::-1])
 
 
-def _starts(n: int, ell: int, cfg: SolverConfig, rng: np.random.Generator) -> np.ndarray:
-    """Starts from all four seed families, one block each.
+def _certify(starts: list, n: int, reduced: bool):
+    """Certified (roots, residual) pairs reached from the given starts.
 
-    The families draw from ``rng`` in a fixed order, which keeps the
-    solver's output a function of the seed.
+    Float64 Newton runs on every start at once; what it cannot certify
+    goes through ``_mp_polish``, and what neither certifies is dropped.
     """
-    # richer sectors have more solutions and narrower basins
-    cnt = cfg.n_random_starts * max(1, ell)
-    random_real = rng.uniform(-2.0, 2.0, size=(cnt, ell)) + 0j
-    random_complex = rng.uniform(-2.0, 2.0, size=(cnt, ell)) + 1j * rng.uniform(
-        -1.5, 1.5, size=(cnt, ell)
-    )
-    parts = partitions(ell)
-    string_hypothesis = []
-    for _ in range(cnt):
-        content = parts[rng.integers(len(parts))]
-        roots: list[complex] = []
-        for length in content:
-            roots.extend(_string_roots(float(rng.uniform(-1.5, 1.5)), length, rng))
-        string_hypothesis.append(roots)
-    # parity-symmetric seeds: +/-x pairs on the real axis and +/-iy
-    # pairs on the imaginary axis (the latter reach the purely
-    # imaginary singular companions that live just outside the
-    # random_complex box)
-    symmetric_pairs = []
-    for _ in range(cnt):
-        roots = []
-        for _ in range(ell // 2):
-            if rng.uniform() < 0.5:
-                x = float(rng.uniform(0.02, 2.0))
-                roots.extend([x, -x])
-            else:
-                y = float(rng.uniform(0.05, 2.2))
-                roots.extend([1j * y, -1j * y])
-        if ell % 2:
-            roots.append(float(rng.uniform(-0.3, 0.3)))
-        symmetric_pairs.append(roots)
-    starts = np.concatenate(
-        [
-            random_real,
-            random_complex,
-            np.array(string_hypothesis, dtype=complex),
-            np.array(symmetric_pairs, dtype=complex),
-        ],
-        axis=0,
-    )
-    # nudge apart any coinciding seed entries; Newton needs distinct roots
-    for row in starts:
-        for a, b in itertools.combinations(range(ell), 2):
-            if abs(row[a] - row[b]) < 1e-3:
-                row[b] += 0.05 * (1 + a + b)
-    return starts
-
-
-def _min_separation(roots) -> float:
-    pairs = list(itertools.combinations(roots, 2))
-    return min((abs(a - b) for a, b in pairs), default=float("inf"))
+    if not starts:
+        return []
+    if not len(starts[0]):
+        return [((), 0.0)] * len(starts)  # the bare singular pair
+    lam, res, conv, _ = _batch_newton(np.array(starts), n, reduced)
+    out = []
+    for row, r, ok in zip(lam, res, conv):
+        if not ok:
+            row, r, ok = _mp_polish(row, n, reduced)
+        if ok:
+            out.append((_snap_real_axis(canonical_roots(row), n, reduced), float(r)))
+    return out
 
 
 def _snap_real_axis(roots, n: int, reduced: bool):
@@ -498,23 +451,6 @@ def _snap_real_axis(roots, n: int, reduced: bool):
     if after <= max(NEWTON_TOL, 2.0 * before):
         return snapped
     return tuple(roots)
-
-
-def _collect_candidates(lam, res, conv, n: int, reduced: bool):
-    """Converged rows plus mp-certified stalled rows as (roots, residual)."""
-    accepted: list[tuple[tuple[complex, ...], float]] = []
-    stalled: list[tuple[complex, ...]] = []
-    for row, r, ok in zip(lam, res, conv):
-        roots = canonical_roots(row)
-        if ok:
-            accepted.append((roots, float(r)))
-        elif np.isfinite(r) and r <= _STALL_RES:
-            stalled.append(roots)
-    for roots in _dedup(stalled, DEDUP_TOL):
-        polished, pres, ok = _mp_polish(roots, n, reduced)
-        if ok:
-            accepted.append((canonical_roots(polished), pres))
-    return accepted
 
 
 class _SumIndex:
@@ -537,24 +473,12 @@ class _SumIndex:
     def _key(roots) -> float:
         return sum(complex(z).real for z in roots)
 
-    def _insert(self, k: int) -> None:
-        key = self._key(self.roots[k])
-        pos = bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self._ids.insert(pos, k)
-
     def add(self, roots) -> None:
         self.roots.append(roots)
-        self._insert(len(self.roots) - 1)
-
-    def replace(self, k: int, roots) -> None:
-        """Swap the roots of entry ``k`` and re-key it."""
-        pos = bisect_left(self._keys, self._key(self.roots[k]))
-        while self._ids[pos] != k:
-            pos += 1
-        del self._keys[pos], self._ids[pos]
-        self.roots[k] = roots
-        self._insert(k)
+        key = self._key(roots)
+        pos = bisect_left(self._keys, key)
+        self._keys.insert(pos, key)
+        self._ids.insert(pos, len(self.roots) - 1)
 
     def first_match(self, roots) -> int | None:
         """Earliest kept entry equal to ``roots`` as a multiset, if any."""
@@ -568,104 +492,50 @@ class _SumIndex:
         return None
 
 
-def _dedup(cands: list[tuple[complex, ...]], tol: float) -> list[tuple[complex, ...]]:
-    index = _SumIndex(tol)
-    for roots in cands:
-        if index.first_match(roots) is None:
-            index.add(roots)
-    return index.roots
-
-
-def _dedup_pairs(cands, tol: float):
-    """Deduplicate (roots, residual) pairs, keeping the smaller residual."""
-    index = _SumIndex(tol)
-    residuals: list[float] = []
-    for roots, res in cands:
-        k = index.first_match(roots)
-        if k is None:
-            index.add(roots)
-            residuals.append(res)
-        elif res < residuals[k]:
-            index.replace(k, roots)
-            residuals[k] = res
-    return list(zip(index.roots, residuals))
-
-
-def _parity_close_pairs(cands, tol: float):
-    """Add the negated partner of every solution (the system is odd in L)."""
-    index = _SumIndex(tol)
-    for roots, _ in cands:
-        index.add(roots)
-    out = list(cands)
-    for roots, res in cands:
-        neg = canonical_roots([-z for z in roots])
-        if index.first_match(neg) is None:
-            index.add(neg)
-            out.append((neg, res))
-    return out
-
-
-def _solve_reduced(n: int, ell: int, cfg: SolverConfig):
-    """Solve for the non-pair roots of singular candidates {i/2, -i/2, ...}."""
-    m = ell - 2
-    if m == 0:
-        return [((), 0.0)]
-    rng = np.random.default_rng((cfg.seed, n, ell, 7))
-    starts = _starts(n, m, cfg, rng)
-    lam, res, conv, _ = _batch_newton(starts, n, reduced=True)
-    cands = []
-    for roots, rres in _collect_candidates(lam, res, conv, n, reduced=True):
-        roots = _snap_real_axis(roots, n, reduced=True)
-        if _min_separation(roots) < STRANGE_GUARD:
-            continue  # stalled at a coincident-root configuration
-        # extra roots may not collide with the fixed pair
-        if any(min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR for z in roots):
-            continue
-        if not _is_self_conjugate(roots, DEDUP_TOL):
-            continue
-        cands.append((canonical_roots(roots), rres))
-    return _parity_close_pairs(_dedup_pairs(cands, DEDUP_TOL), DEDUP_TOL)
-
-
+# ``cfg`` is unused; kept because benchmark/spans.py binds args["cfg"]
 def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[RootSet]:
-    """All Bethe root sets found for the (n, ell) sector, deduplicated and tagged.
+    """Every regular and physical singular Bethe root set of the (n, ell) sector.
 
-    Regular candidates come from multi-start damped Newton on the full
-    polynomial system; singular candidates from the reduced system with
-    the pair {i/2, -i/2} held exactly.  Self-conjugacy is enforced, and
-    Newton stalls at coincident-root (strange) zeros are dropped, as they
-    are not Bethe states; completeness is audited (not guaranteed)
-    against the rigged configuration census by the caller.
+    One start per highest-weight eigenstate: the transfer-matrix
+    eigenvalue Lambda(u) of the state fixes Baxter's Q, whose roots are
+    the Bethe roots.  A start holding the pair {i/2, -i/2} is certified
+    on the reduced system for its other roots.  Float64 Newton and the
+    50-digit ``_mp_polish`` certify each start; a start that neither
+    certifies, that classifies as non-physical, or that repeats a kept
+    set is dropped, so it shows up as a count shortfall in the caller's
+    audit against the rigged configuration census.
     """
-    cfg = cfg or SolverConfig()
+    from . import abba
+
     if not 0 <= 2 * ell <= n:
         raise ValueError(f"need 0 <= ell <= n/2, got ell={ell}, n={n}")
     if ell == 0:
         return [RootSet(n, (), REGULAR, 0.0)]
 
-    rng = np.random.default_rng((cfg.seed, n, ell))
-    starts = _starts(n, ell, cfg, rng)
-    lam, res, conv, _ = _batch_newton(starts, n, reduced=False)
+    full, reduced = [], []
+    for lam_coeffs in abba.transfer_eigenpolynomials(n, ell):
+        roots = _tq_roots(lam_coeffs, n, ell)
+        others = singular_partners(roots)
+        if others is None:
+            full.append(roots)
+        else:
+            reduced.append(others)
 
-    cands: list[tuple[tuple[complex, ...], float]] = []
-    for roots, rres in _collect_candidates(lam, res, conv, n, reduced=False):
-        roots = _snap_real_axis(roots, n, reduced=False)
-        if singular_partners(roots) is not None:
-            continue  # rediscovered properly by the reduced pass
-        if _min_separation(roots) < STRANGE_GUARD:
-            continue  # stalled at a coincident-root configuration
-        if not _is_self_conjugate(roots, DEDUP_TOL):
+    cands = _certify(full, n, reduced=False)
+    for extra, rres in _certify(reduced, n, reduced=True):
+        # extra roots may not collide with the fixed pair
+        if all(min(abs(z - 0.5j), abs(z + 0.5j)) > TOL_SINGULAR for z in extra):
+            cands.append(((0.5j, -0.5j, *extra), rres))
+
+    kept = _SumIndex(DEDUP_TOL)
+    out = []
+    for roots, rres in cands:
+        rs = classify(RootSet(n, canonical_roots(roots), residual=rres))
+        if rs.classification not in (REGULAR, PHYSICAL_SINGULAR):
             continue
-        cands.append((canonical_roots(roots), rres))
-
-    out = [
-        classify(RootSet(n, roots, residual=rres))
-        for roots, rres in _parity_close_pairs(_dedup_pairs(cands, DEDUP_TOL), DEDUP_TOL)
-    ]
-    if ell >= 2:
-        for extra, rres in _solve_reduced(n, ell, cfg):
-            roots = canonical_roots((0.5j, -0.5j, *extra))
-            out.append(classify(RootSet(n, roots, residual=rres)))
+        if kept.first_match(rs.roots) is None:
+            kept.add(rs.roots)
+            out.append(rs)
 
     out.sort(
         key=lambda rs: tuple(

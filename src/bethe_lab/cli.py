@@ -5,7 +5,9 @@ solve / classify / energize / diagonalize / audit pipeline, ``diag``
 prints the exact spectrum, ``solve`` one sector's root sets, ``rc`` the
 rigged-configuration census, and ``plot`` renders root scatters from a
 report file.  ``run`` exits 0 when every audit passes, 2 on a solver
-count shortfall, and 3 on a spectral-closure failure.
+count shortfall, and 3 on a spectral-closure failure.  Bad input (a
+chain length outside the cap, a magnon number above n/2, a malformed
+``BETHE_LAB_MAX_N``) prints one ``bethe-lab: error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -17,34 +19,17 @@ import sys
 from . import baesolver, energy, hilbert, pipeline, plots, rigged
 
 
-def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42, help="random seed for solver starts")
-    p.add_argument(
-        "--starts",
-        type=int,
-        default=baesolver.SolverConfig.n_random_starts,
-        help="random starts per seed family (scaled by magnon number)",
-    )
-
-
-def _config(args) -> baesolver.SolverConfig:
-    return baesolver.SolverConfig(seed=args.seed, n_random_starts=args.starts)
+EXIT_BAD_INPUT = 1
 
 
 def _cmd_run(args) -> int:
-    report = pipeline.run_pipeline(args.n, _config(args))
+    report = pipeline.run_pipeline(args.n)
     data = pipeline.emit_report(report, args.out, fmt="json")
     if args.csv:
         pipeline.emit_report(report, args.csv, fmt="csv")
     print(f"wrote {args.out}")
     for sec in report.sectors:
-        found = sum(
-            1
-            for rec in sec.solutions
-            if rec.rootset.classification
-            in (baesolver.REGULAR, baesolver.PHYSICAL_SINGULAR)
-        )
-        print(f"  ell={sec.ell}: {found}/{sec.rc_count} states")
+        print(f"  ell={sec.ell}: {len(sec.solutions)}/{sec.rc_count} states")
     print(f"  missing after regular Bethe: {report.missing_levels}")
     print(f"  recovered by singular states: {report.recovered_by_nw}")
     print(f"  audit: {data['audit']}")
@@ -63,22 +48,16 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config(args)
-    sols = baesolver.solve_sector(args.n, args.ell, cfg)
+    sols = baesolver.solve_sector(args.n, args.ell)
     target = baesolver.sector_target_count(args.n, args.ell)
     for rs in sols:
         roots = ", ".join(f"{z.real:+.9f}{z.imag:+.9f}i" for z in rs.roots)
-        line = f"  [{rs.classification}] {{{roots}}}"
-        if rs.classification in (baesolver.REGULAR, baesolver.PHYSICAL_SINGULAR):
-            line += f"  E = {energy.energy_of(rs).energy:+.9f} J"
-        print(line)
-    good = sum(
-        1
-        for rs in sols
-        if rs.classification in (baesolver.REGULAR, baesolver.PHYSICAL_SINGULAR)
-    )
-    print(f"found {good}/{target} expected states for n={args.n}, ell={args.ell}")
-    return 0 if good == target else pipeline.EXIT_COUNT_SHORTFALL
+        print(
+            f"  [{rs.classification}] {{{roots}}}"
+            f"  E = {energy.energy_of(rs).energy:+.9f} J"
+        )
+    print(f"found {len(sols)}/{target} expected states for n={args.n}, ell={args.ell}")
+    return 0 if len(sols) == target else pipeline.EXIT_COUNT_SHORTFALL
 
 
 def _cmd_rc(args) -> int:
@@ -114,7 +93,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--n", type=int, required=True)
     p_run.add_argument("--out", default="report.json")
     p_run.add_argument("--csv", default=None, help="also write a CSV solution table")
-    _add_solver_args(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_diag = sub.add_parser("diag", help="exact diagonalization spectrum (units of J)")
@@ -124,7 +102,6 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve one magnon sector")
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.add_argument("--ell", type=int, required=True)
-    _add_solver_args(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_rc = sub.add_parser("rc", help="rigged configuration census")
@@ -139,7 +116,11 @@ def main(argv=None) -> int:
     p_plot.set_defaults(func=_cmd_plot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"bethe-lab: error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -140,6 +140,34 @@ def sector_hamiltonian(n: int, ell: int, j: float = 1.0) -> np.ndarray:
     return h
 
 
+def highest_weight_basis(n: int, ell: int) -> np.ndarray:
+    """Orthonormal basis of ker S^+ inside the ell-magnon sector.
+
+    Columns are indexed like ``sector_basis(n, ell)``.  The sector block
+    of S^+, which maps ell magnons to ell - 1, is built with bit
+    operations and its null space taken by SVD; for ell <= n/2 it has
+    dimension C(n, ell) - C(n, ell - 1).
+    """
+    idx = sector_basis(n, ell)
+    if ell == 0:
+        return np.eye(1)
+    lower = sector_basis(n, ell - 1)
+    if len(idx) > SECTOR_DIM_CAP:
+        raise ValueError(f"sector dimension {len(idx)} exceeds cap {SECTOR_DIM_CAP}")
+    pos = np.full(1 << n, -1, dtype=np.int64)
+    pos[lower] = np.arange(len(lower))
+    s = np.zeros((len(lower), len(idx)))
+    cols = np.arange(len(idx))
+    for k in range(1, n + 1):
+        mask = site_mask(k, n)
+        down = (idx & mask) != 0
+        s[pos[idx[down] ^ mask], cols[down]] = 1.0
+    _, sv, vh = np.linalg.svd(s)
+    # nonzero singular values of S^+ are square roots of positive integers
+    rank = int((sv > 0.5).sum())
+    return vh[rank:].T
+
+
 def translation_matrix(n: int) -> np.ndarray:
     """Cyclic shift moving the spin at site k to site k+1."""
     _check_n(n)

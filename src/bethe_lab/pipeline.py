@@ -22,7 +22,7 @@ import numpy as np
 from . import abba, baesolver, energy, hilbert, rigged
 
 SPECTRAL_CLOSURE_TOL = 1e-5
-SCHEMA_VERSION = "bethe-lab/1"
+SCHEMA_VERSION = "bethe-lab/2"
 
 EXIT_OK = 0
 EXIT_COUNT_SHORTFALL = 2
@@ -32,7 +32,7 @@ EXIT_CLOSURE_FAILURE = 3
 @dataclass
 class SolutionRecord:
     rootset: baesolver.RootSet
-    energy: energy.EnergyResult | None
+    energy: energy.EnergyResult
     multiplicity: int
     nw_details: dict | None = None
 
@@ -48,7 +48,6 @@ class SectorReport:
 @dataclass
 class RunReport:
     n: int
-    seed: int
     sectors: list[SectorReport]
     diag_spectrum: list[hilbert.SpectrumEntry]
     bethe_spectrum: list[tuple[float, int]]
@@ -81,13 +80,16 @@ def merge_levels(entries: list[tuple[float, int]], tol: float) -> list[tuple[flo
 def multiset_subtract(
     a: list[tuple[float, int]], b: list[tuple[float, int]], tol: float
 ) -> list[tuple[float, int]]:
-    """Level multiset a minus b; negative remainders are clipped at zero."""
+    """Level multiset a minus b; negative remainders are clipped at zero.
+
+    Each level of b comes off the nearest level of a within ``tol``, so
+    two distinct levels closer than ``tol`` are each matched to their own.
+    """
     remaining = [list(x) for x in a]
     for e, m in b:
-        for entry in remaining:
-            if abs(entry[0] - e) <= tol:
-                entry[1] -= m
-                break
+        near = [entry for entry in remaining if abs(entry[0] - e) <= tol]
+        if near:
+            min(near, key=lambda entry: abs(entry[0] - e))[1] -= m
     return [(e, m) for e, m in remaining if m > 0]
 
 
@@ -106,19 +108,16 @@ def _nw_details(rootset: baesolver.RootSet) -> dict:
     return details
 
 
-def _sector_report(n: int, ell: int, cfg: baesolver.SolverConfig) -> SectorReport:
-    solutions = baesolver.solve_sector(n, ell, cfg)
+def _sector_report(n: int, ell: int) -> SectorReport:
     mult = n - 2 * ell + 1
     records: list[SolutionRecord] = []
-    for rs in solutions:
+    for rs in baesolver.solve_sector(n, ell):
         if rs.classification == baesolver.REGULAR:
             records.append(SolutionRecord(rs, energy.energy_regular(rs), mult))
-        elif rs.classification == baesolver.PHYSICAL_SINGULAR:
+        else:
             records.append(
                 SolutionRecord(rs, energy.energy_nw(rs), mult, _nw_details(rs))
             )
-        else:
-            records.append(SolutionRecord(rs, None, 0))
     rcs = rigged.enumerate_rcs(n, ell)
     pairing = None
     if 1 <= ell <= 2:
@@ -134,13 +133,13 @@ def _sector_report(n: int, ell: int, cfg: baesolver.SolverConfig) -> SectorRepor
     return SectorReport(ell, len(rcs), records, pairing)
 
 
+# ``cfg`` is unused; kept because benchmark/workloads.py passes cfg=SolverConfig(...)
 def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport:
     """Solve all sectors, diagonalize, and reconcile the spectra."""
-    cfg = cfg or baesolver.SolverConfig()
     if not 2 <= n <= hilbert.max_chain_length():
         raise ValueError(f"n={n} outside [2, {hilbert.max_chain_length()}]")
 
-    sectors = [_sector_report(n, ell, cfg) for ell in range(n // 2 + 1)]
+    sectors = [_sector_report(n, ell) for ell in range(n // 2 + 1)]
 
     # exact diagonalization, sector by sector (energies in units of J)
     all_eigs = np.sort(
@@ -154,8 +153,6 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
     nw_levels: list[tuple[float, int]] = []
     for sec in sectors:
         for rec in sec.solutions:
-            if rec.energy is None:
-                continue
             if rec.rootset.classification == baesolver.REGULAR:
                 bethe_levels.append((rec.energy.energy, rec.multiplicity))
             else:
@@ -172,12 +169,7 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
 
     shortfalls = {}
     for sec in sectors:
-        found = sum(
-            1
-            for rec in sec.solutions
-            if rec.rootset.classification
-            in (baesolver.REGULAR, baesolver.PHYSICAL_SINGULAR)
-        )
+        found = len(sec.solutions)
         if found != sec.rc_count:
             # string keys so the audit survives a JSON round trip
             shortfalls[str(sec.ell)] = {"found": found, "expected": sec.rc_count}
@@ -188,7 +180,7 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
         "dimension_check": sum(m for _, m in diag_levels) == 2**n,
     }
     return RunReport(
-        n, cfg.seed, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit
+        n, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit
     )
 
 
@@ -212,7 +204,7 @@ def _levels_json(levels) -> list[dict]:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready dict with stable field order (schema bethe-lab/1)."""
+    """JSON-ready dict with stable field order (schema bethe-lab/2)."""
     sectors = []
     for sec in report.sectors:
         sols = []
@@ -223,10 +215,9 @@ def report_to_dict(report: RunReport) -> dict:
                 "classification": rs.classification,
                 "residual": _sig12(rs.residual) if np.isfinite(rs.residual) else None,
                 "multiplicity": rec.multiplicity,
+                "energy": _sig12(rec.energy.energy),
+                "energy_method": rec.energy.method,
             }
-            if rec.energy is not None:
-                item["energy"] = _sig12(rec.energy.energy)
-                item["energy_method"] = rec.energy.method
             if rec.nw_details is not None:
                 item["nw"] = {
                     "c1": _cnum(rec.nw_details["c1"]),
@@ -249,7 +240,6 @@ def report_to_dict(report: RunReport) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "n": report.n,
-        "seed": report.seed,
         "sectors": sectors,
         "diag_spectrum": _levels_json(
             [(e.energy, e.multiplicity) for e in report.diag_spectrum]
@@ -293,7 +283,7 @@ def emit_report(report: RunReport, path: str, fmt: str = "json") -> dict:
                         "roots": ";".join(
                             f"{r['re']}{r['im']:+}i" for r in sol["roots"]
                         ),
-                        "energy": sol.get("energy", ""),
+                        "energy": sol["energy"],
                         "multiplicity": sol["multiplicity"],
                         "residual": sol["residual"] if sol["residual"] is not None else "",
                     }

@@ -244,6 +244,24 @@ def test_transfer_eigenvalue_matches_operator_action():
         assert np.linalg.norm(tau_psi - val * psi) <= 1e-9 * abs(val) * np.linalg.norm(psi)
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_transfer_eigenpolynomials_match_solved_states(ell, solved):
+    n = 6
+    coeffs = abba.transfer_eigenpolynomials(n, ell)
+    states = solved(n, ell)
+    assert coeffs.shape == (len(states), n + 1)
+    lams = _random_lams(4, seed=20 + ell)
+    from_poly = np.array([[np.polynomial.polynomial.polyval(u, c) for u in lams] for c in coeffs])
+    from_roots = np.array([[abba.transfer_eigenvalue(u, s) for u in lams] for s in states])
+    # each polynomial is the eigenvalue of exactly one solved state
+    matched = []
+    for row in from_poly:
+        gaps = np.abs(from_roots - row).max(axis=1) / np.abs(row).max()
+        matched.append(int(gaps.argmin()))
+        assert gaps.min() <= 1e-9, gaps.min()
+    assert sorted(matched) == list(range(len(states)))
+
+
 def test_unwanted_terms_vanish_on_shell():
     roots = RootSet(4, (1 / math.sqrt(12), -1 / math.sqrt(12)))
     for lam in _random_lams(4, seed=19):
@@ -350,17 +368,18 @@ def test_series_matches_direct_float_product():
     assert np.abs(vec - reference).max() <= 1e-6 * np.abs(reference).max()
 
 
-def test_nw_series_vanishes_below_eps_n(solved):
+def test_nw_series_vanishes_below_eps_n(solved, nonphysical_singular):
     checked = 0
     for n in (6, 8):
-        for ell in range(2, n // 2 + 1):
-            for s in solved(n, ell):
-                if s.classification not in (PHYSICAL_SINGULAR, NONPHYSICAL_SINGULAR):
-                    continue
-                c1, _ = nw_constants(s)
-                series = abba._nw_series(s, c1)
-                assert series.shape == (1 << n, n * n + n + 1)
-                limit = np.abs(series[:, n]).max()
-                assert np.abs(series[:, :n]).max() <= 1e-10 * limit, s
-                checked += 1
+        solved_sets = [s for ell in range(2, n // 2 + 1) for s in solved(n, ell)]
+        # the solver returns the physical sets; the non-physical ones are stored
+        for s in solved_sets + nonphysical_singular[n]:
+            if s.classification not in (PHYSICAL_SINGULAR, NONPHYSICAL_SINGULAR):
+                continue
+            c1, _ = nw_constants(s)
+            series = abba._nw_series(s, c1)
+            assert series.shape == (1 << n, n * n + n + 1)
+            limit = np.abs(series[:, n]).max()
+            assert np.abs(series[:, :n]).max() <= 1e-10 * limit, s
+            checked += 1
     assert checked >= 10

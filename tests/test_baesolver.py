@@ -102,12 +102,17 @@ def test_newton_divergence_reported_not_raised():
 # ---------------------------------------------------------------------------
 
 
+def _min_separation(roots) -> float:
+    pairs = list(itertools.combinations(roots, 2))
+    return min((abs(a - b) for a, b in pairs), default=float("inf"))
+
+
 def _separated_points(rng, batch, m):
     """Random root vectors whose entries stay apart from each other and i/2."""
     rows = []
     while len(rows) < batch:
         row = rng.uniform(-1.5, 1.5, size=m) + 1j * rng.uniform(-1.2, 1.2, size=m)
-        if bs._min_separation(row) > 0.2 and all(abs(abs(z.imag) - 0.5) > 0.1 for z in row):
+        if _min_separation(row) > 0.2 and all(abs(abs(z.imag) - 0.5) > 0.1 for z in row):
             rows.append(row)
     return np.array(rows)
 
@@ -265,18 +270,13 @@ def test_count_identity_small_chains(solved):
         assert len(good) == count == bs.sector_target_count(n, ell)
 
 
-def test_solver_config_rejects_bad_settings():
-    with pytest.raises(ValueError, match="n_random_starts"):
-        bs.SolverConfig(n_random_starts=0)
-
-
 def test_solver_returns_no_coincident_root_artefacts(solved):
     sectors = [(n, ell) for n in (4, 6, 8) for ell in range(n // 2 + 1)] + [(10, 5)]
     for n, ell in sectors:
         for s in solved(n, ell):
             assert s.classification != bs.STRANGE, s
             for a, b in itertools.combinations(s.roots, 2):
-                assert abs(a - b) >= bs.STRANGE_GUARD, s
+                assert abs(a - b) >= 1e-4, s
             bs.bae_residual(s.roots, n)  # raises StrangeRootsError on coincident roots
 
 
@@ -299,8 +299,8 @@ def test_multiset_eq_backtracks_over_repeated_roots():
     assert bs.multiset_eq((8e-4, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
     assert bs.multiset_eq((0.0, 0.0, 1.5e-3), (8e-4, 0.0, 0.0), tol)
     assert not bs.multiset_eq((0.0, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
-    # a set with repeated roots, as stalled candidates can carry, matches
-    # itself in any order, not with one root swapped
+    # a set with repeated roots matches itself in any order, not with
+    # one root swapped
     repeated = (0.3 + 0.5j, 0.3 + 0.5j, 0.3 - 0.5j, 0.3 - 0.5j)
     assert bs.multiset_eq(repeated, (0.3 - 0.5j, 0.3 + 0.5j) * 2, 1e-12)
     assert not bs.multiset_eq(repeated, (0.3 + 0.5j,) * 3 + (0.3 - 0.5j,), 1e-3)
@@ -348,37 +348,18 @@ def _ref_dedup(cands, tol):
     return kept
 
 
-def _ref_dedup_pairs(cands, tol):
-    kept = []
-    for roots, res in cands:
-        for entry in kept:
-            if bs.multiset_eq(roots, entry[0], tol):
-                if res < entry[1]:
-                    entry[:] = [roots, res]
-                break
-        else:
-            kept.append([roots, res])
-    return [tuple(entry) for entry in kept]
-
-
-def _ref_parity_close_pairs(cands, tol):
-    out = list(cands)
-    for roots, res in cands:
-        neg = bs.canonical_roots([-z for z in roots])
-        if not any(bs.multiset_eq(neg, prev, tol) for prev, _ in out):
-            out.append((neg, res))
-    return out
+def _ref_first_match(kept, roots, tol):
+    return next((k for k, prev in enumerate(kept) if bs.multiset_eq(roots, prev, tol)), None)
 
 
 def _candidates(seed, tol, count=300, ell=4):
-    """Near-duplicate-rich (roots, residual) lists for the dedup tests.
+    """Near-duplicate-rich root-set lists for the dedup index test.
 
     Half the base sets are parity symmetric ({x, -x, iy, -iy}), so their
     root sums are all 0.  Variants of a base are exact copies, copies
     with every root moved 0.9 tol (inside) or one root moved 1.1 tol
-    (outside), and chains that step every root 0.9 tol to the right with
-    a falling residual: each link replaces the kept set and re-keys it,
-    and the next link matches only the replaced set.
+    (outside), and chains that step every root 0.9 tol to the right, so
+    that each link matches its predecessor but not the one before.
     """
     rng = np.random.default_rng(seed)
     bases = []
@@ -401,41 +382,27 @@ def _candidates(seed, tol, count=300, ell=4):
         elif kind == 3:
             chains[b] += 1
             roots = [z + 0.9 * tol * chains[b] for z in roots]
-        res = 1e-12 / (1 + chains[b]) if kind == 3 else float(rng.uniform(1e-14, 1e-12))
-        cands.append((bs.canonical_roots(rng.permutation(roots)), res))
+        cands.append(bs.canonical_roots(rng.permutation(roots)))
     return cands
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("tol", [1e-7, 1e-3])
 def test_dedup_index_matches_brute_force(seed, tol):
+    # the solver's distinctness guard: keep a set unless the index holds it
     cands = _candidates(seed, tol)
-    roots_only = [roots for roots, _ in cands]
-    kept = bs._dedup(roots_only, tol)
-    assert kept == _ref_dedup(roots_only, tol)
-    assert len(kept) < len(cands)
-
-    pairs = bs._dedup_pairs(cands, tol)
-    assert pairs == _ref_dedup_pairs(cands, tol)
-    assert set(pairs) - set(cands) == set()
-
-    closed = bs._parity_close_pairs(pairs, tol)
-    assert closed == _ref_parity_close_pairs(pairs, tol)
-    assert len(pairs) < len(closed) < 2 * len(pairs)
-
-
-def test_dedup_pairs_rekeys_a_replaced_set():
-    tol = 1e-7
-    base = (1.0, 0.5, -0.25)
-    links = [tuple(z + 0.9 * tol * k for z in base) for k in range(4)]
-    cands = [(roots, 1e-12 / (1 + k)) for k, roots in enumerate(links)]
-    # each link matches its predecessor only; the last replaced set is kept
-    assert not bs.multiset_eq(links[0], links[2], tol)
-    assert bs._dedup_pairs(cands, tol) == [cands[-1]]
-    assert bs._dedup_pairs(cands, tol) == _ref_dedup_pairs(cands, tol)
-    # with rising residuals the first set stays and the chain breaks off
-    rising = [(roots, 1e-12 * (1 + k)) for k, roots in enumerate(links)]
-    assert bs._dedup_pairs(rising, tol) == [rising[0], rising[2]]
+    index = bs._SumIndex(tol)
+    matched_earlier = 0
+    for roots in cands:
+        k = index.first_match(roots)
+        assert k == _ref_first_match(index.roots, roots, tol), roots
+        if k is None:
+            index.add(roots)
+        elif k < len(index.roots) - 1:
+            matched_earlier += 1
+    assert index.roots == _ref_dedup(cands, tol)
+    assert len(index.roots) < len(cands)
+    assert matched_earlier  # matches are not only with the newest entry
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +410,20 @@ def test_dedup_pairs_rekeys_a_replaced_set():
 # ---------------------------------------------------------------------------
 
 
-def test_physicality_criterion_matches_vector_convergence(solved):
+def test_physicality_criterion_matches_vector_convergence(solved, nonphysical_singular):
     checked = 0
     for n in (4, 6, 8):
-        for ell in range(2, n // 2 + 1):
-            for s in solved(n, ell):
-                if s.classification not in (
-                    bs.PHYSICAL_SINGULAR,
-                    bs.NONPHYSICAL_SINGULAR,
-                ):
-                    continue
-                c1, _ = bs.nw_constants(s)
-                sweep = abba.regularization_sweep(s, c1)
-                expected = s.classification == bs.PHYSICAL_SINGULAR
-                assert sweep.converged == expected, (s, sweep.residuals)
-                checked += 1
+        solved_sets = [s for ell in range(2, n // 2 + 1) for s in solved(n, ell)]
+        # the solver returns the physical sets; the non-physical ones are stored
+        for s in solved_sets + nonphysical_singular.get(n, []):
+            if s.classification not in (
+                bs.PHYSICAL_SINGULAR,
+                bs.NONPHYSICAL_SINGULAR,
+            ):
+                continue
+            c1, _ = bs.nw_constants(s)
+            sweep = abba.regularization_sweep(s, c1)
+            expected = s.classification == bs.PHYSICAL_SINGULAR
+            assert sweep.converged == expected, (s, sweep.residuals)
+            checked += 1
     assert checked >= 10  # several singular solutions exist up to n=8

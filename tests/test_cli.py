@@ -8,12 +8,10 @@ from bethe_lab import baesolver as bs, cli, pipeline, plots
 def test_run_subcommand_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     csv_out = tmp_path / "report.csv"
-    code = cli.main(
-        ["run", "--n", "4", "--seed", "42", "--out", str(out), "--csv", str(csv_out)]
-    )
+    code = cli.main(["run", "--n", "4", "--out", str(out), "--csv", str(csv_out)])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["n"] == 4 and data["schema"] == "bethe-lab/1"
+    assert data["n"] == 4 and data["schema"] == "bethe-lab/2"
     assert csv_out.exists()
     assert "audit" in capsys.readouterr().out
 
@@ -30,9 +28,31 @@ def test_solve_subcommand(capsys):
     assert "found 2/2" in out
 
 
-def test_solve_subcommand_reports_shortfall(capsys):
-    code = cli.main(["solve", "--n", "6", "--ell", "2", "--starts", "1", "--seed", "3"])
+def test_solve_subcommand_reports_shortfall(capsys, monkeypatch):
+    # the solver is complete, so drop one of its sets to provoke a shortfall
+    solve = bs.solve_sector
+    monkeypatch.setattr(bs, "solve_sector", lambda *a, **k: solve(*a, **k)[1:])
+    code = cli.main(["solve", "--n", "6", "--ell", "2"])
     assert code == pipeline.EXIT_COUNT_SHORTFALL
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"BETHE_LAB_MAX_N": "abc"}, ["run", "--n", "4"]),
+        ({}, ["diag", "--n", "40"]),
+        ({}, ["solve", "--n", "6", "--ell", "4"]),
+    ],
+)
+def test_bad_input_is_one_line_error(env, argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # run would write report.json here
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bethe-lab: error: "), captured.err
 
 
 def test_rc_subcommand(capsys):

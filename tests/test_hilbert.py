@@ -183,3 +183,16 @@ def test_sector_dimension_cap(monkeypatch):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "18")
     with pytest.raises(ValueError, match="exceeds cap"):
         hilbert.sector_hamiltonian(18, 9)  # C(18,9) = 48620 > 10000
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_highest_weight_basis_is_ker_s_plus(n):
+    s_plus = hilbert.raising_operator(n)  # dense reference
+    for ell in range(n // 2 + 1):
+        basis = hilbert.highest_weight_basis(n, ell)
+        d = hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)
+        assert basis.shape == (hilbert.binomial(n, ell), d)
+        assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-12
+        full = np.zeros((1 << n, d))
+        full[hilbert.sector_basis(n, ell)] = basis
+        assert np.abs(s_plus @ full).max() <= 1e-12

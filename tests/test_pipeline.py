@@ -42,7 +42,7 @@ def test_report_round_trip(report4, tmp_path):
     emitted = pipeline.emit_report(report4, str(path))
     parsed = json.loads(path.read_text())
     assert parsed == emitted
-    assert parsed["schema"] == "bethe-lab/1"
+    assert parsed["schema"] == "bethe-lab/2"
     # root sets survive the round trip
     rootsets = pipeline.rootsets_from_report(parsed)
     originals = [rec.rootset for sec in report4.sectors for rec in sec.solutions]
@@ -66,7 +66,7 @@ def test_csv_solution_table_rows(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("n,ell,classification")
     ell2_rows = [ln for ln in lines[1:] if ln.startswith("6,2,")]
-    # eight regular + one singular; coincident-root artifacts are tagged
+    # eight regular + one singular
     counted = [
         ln
         for ln in ell2_rows
@@ -94,10 +94,11 @@ def test_six_site_narrative():
     assert len(data["sectors"][1]["rc_pairing"]["pairs"]) == 5
 
 
-def test_exit_code_on_count_shortfall(tmp_path):
-    # starve the solver so it cannot find every solution
-    cfg = bs.SolverConfig(n_random_starts=1, seed=3)
-    rep = pipeline.run_pipeline(6, cfg=cfg)
+def test_exit_code_on_count_shortfall(tmp_path, monkeypatch):
+    # the solver is complete, so drop one of its sets to provoke a shortfall
+    solve = bs.solve_sector
+    monkeypatch.setattr(bs, "solve_sector", lambda *a, **k: solve(*a, **k)[1:])
+    rep = pipeline.run_pipeline(6)
     assert not rep.audit["count_check"]
     assert rep.exit_code == pipeline.EXIT_COUNT_SHORTFALL
     assert rep.audit["count_shortfalls"]
@@ -116,6 +117,19 @@ def test_merge_and_subtract_helpers():
     left = pipeline.multiset_subtract([(1.0, 5), (2.0, 1)], [(1.0, 2)], 1e-8)
     assert left == [(1.0, 3), (2.0, 1)]
     assert pipeline.multiset_subtract([(1.0, 2)], [(1.0, 2)], 1e-8) == []
+    # two distinct levels closer than tol, as ED has at n=12: each level
+    # comes off the nearest one
+    a = [(1.0, 10), (1.000001, 18)]
+    assert pipeline.multiset_subtract(a, [(1.000001, 18), (1.0, 10)], 1e-5) == []
+    assert pipeline.multiset_subtract(a, [(1.000001, 18)], 1e-5) == [(1.0, 10)]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_run_passes_every_audit(n):
+    rep = pipeline.run_pipeline(n)
+    assert rep.audit["count_check"] and rep.audit["spectral_closure"], rep.audit
+    assert rep.audit["dimension_check"]
+    assert rep.exit_code == pipeline.EXIT_OK
 
 
 def test_spectral_closure_multiset():
