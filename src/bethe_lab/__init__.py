@@ -2,7 +2,7 @@
 
 from .baesolver import RootSet, SolverConfig, classify, nw_constants, solve_sector
 from .energy import EnergyResult, energy_logderiv, energy_nw, energy_regular
-from .hilbert import SpectrumEntry, hamiltonian, spectrum_with_multiplicities
+from .hilbert import SpectrumEntry, exact_spectrum, hamiltonian, spectrum_with_multiplicities
 from .pipeline import RunReport, emit_report, run_pipeline
 from .rigged import RiggedConfiguration, enumerate_rcs, rc_count
 
@@ -19,6 +19,7 @@ __all__ = [
     "energy_nw",
     "energy_regular",
     "SpectrumEntry",
+    "exact_spectrum",
     "hamiltonian",
     "spectrum_with_multiplicities",
     "RunReport",

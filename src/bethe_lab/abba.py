@@ -62,43 +62,6 @@ class RegularizationParams:
             raise ValueError("regularization constant must be finite")
 
 
-@dataclass
-class MonodromyBlocks:
-    """Dense auxiliary-space blocks of the monodromy matrix at one rapidity."""
-
-    lam: complex
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    @property
-    def tau(self) -> np.ndarray:
-        return self.a + self.d
-
-
-def r_matrix(lam: complex) -> np.ndarray:
-    """4x4 rational R-matrix (1/(L+i)) ((L/2 + i) I + (L/2) sum sigma (x) sigma)."""
-    lam = complex(lam)
-    if abs(lam + 1j) < 1e-12:
-        raise PoleError("R-matrix has a pole at lambda = -i")
-    ss = sum(np.kron(hilbert.PAULI[a], hilbert.PAULI[a]) for a in (1, 2, 3))
-    return ((lam / 2 + 1j) * np.eye(4, dtype=complex) + (lam / 2) * ss) / (lam + 1j)
-
-
-def l_operator(k: int, lam: complex, n: int) -> list[list[np.ndarray]]:
-    """The 2x2 auxiliary-space blocks of L_k as dense 2^n matrices."""
-    lam = complex(lam)
-    eye = np.eye(1 << n, dtype=complex)
-    s1 = hilbert.pauli_site(1, k, n)
-    s2 = hilbert.pauli_site(2, k, n)
-    s3 = hilbert.pauli_site(3, k, n)
-    return [
-        [lam * eye + 0.5j * s3, 0.5j * (s1 - 1j * s2)],
-        [0.5j * (s1 + 1j * s2), lam * eye - 0.5j * s3],
-    ]
-
-
 def _site_flip(psi: np.ndarray, select: np.ndarray, partner: np.ndarray) -> np.ndarray:
     """sigma^{+/-}_k action: rows in ``select`` copy their bit-flipped partner."""
     out = np.zeros_like(psi)
@@ -144,19 +107,6 @@ def apply_monodromy(lam, n: int, psi: np.ndarray):
             1j * _site_flip(bv, ~down, partner) + times_lam(d) - spin * d,
         )
     return a, bv, c, d
-
-
-def monodromy(lam: complex, n: int) -> MonodromyBlocks:
-    """Dense monodromy blocks, built by applying the recursion to the identity."""
-    hilbert._check_n(n)
-    eye = np.eye(1 << n, dtype=complex)
-    a, b, c, d = apply_monodromy(lam, n, eye)
-    return MonodromyBlocks(complex(lam), a, b, c, d)
-
-
-def transfer_matrix(lam: complex, n: int) -> np.ndarray:
-    blocks = monodromy(lam, n)
-    return blocks.tau
 
 
 def transfer_apply(lam, n: int, psi: np.ndarray) -> np.ndarray:
@@ -351,29 +301,3 @@ def transfer_eigenvalue(lam: complex, roots, n: int | None = None) -> complex:
         first *= (lam - z - 1j) / (lam - z)
         second *= (z - lam - 1j) / (z - lam)
     return first + second
-
-
-def unwanted_term(lam: complex, k: int, roots, n: int | None = None) -> complex:
-    """Coefficient of the k-th unwanted term in tau acting on a Bethe state.
-
-    Vanishes exactly when the k-th Bethe equation holds; for the
-    regularized singular pair it scales like eps^(n+1).
-    """
-    if isinstance(roots, RootSet):
-        n = roots.n
-        roots = roots.roots
-    if n is None:
-        raise ValueError("n required when passing a bare root sequence")
-    roots = [complex(z) for z in roots]
-    lam = complex(lam)
-    lk = roots[k]
-    if abs(lam - lk) < 1e-12:
-        raise PoleError("evaluation point collides with the selected root")
-    plus = (lk + 0.5j) ** n
-    minus = (lk - 0.5j) ** n
-    for j_, z in enumerate(roots):
-        if j_ == k:
-            continue
-        plus *= (lk - z - 1j) / (lk - z)
-        minus *= (z - lk - 1j) / (z - lk)
-    return 1j / (lam - lk) * (plus - minus)

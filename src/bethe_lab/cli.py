@@ -4,10 +4,14 @@ Subcommands map onto the module boundaries: ``run`` drives the full
 solve / classify / energize / diagonalize / audit pipeline, ``diag``
 prints the exact spectrum, ``solve`` one sector's root sets, ``rc`` the
 rigged-configuration census, and ``plot`` renders root scatters from a
-report file.  ``run`` exits 0 when every audit passes, 2 on a solver
-count shortfall, and 3 on a spectral-closure failure.  Bad input (a
-chain length outside the cap, a magnon number above n/2, a malformed
-``BETHE_LAB_MAX_N``) prints one ``bethe-lab: error:`` line and exits 1.
+report file.  ``diag`` and ``run`` share one exact diagonalization,
+``hilbert.exact_spectrum``, which works magnon sector by magnon sector
+and never builds the dense 2^n x 2^n Hamiltonian.  ``run`` exits 0 when
+every audit passes, 2 on a solver count shortfall, and 3 on a
+spectral-closure failure.  Bad input (a chain length outside the cap, a
+magnon number above n/2, a malformed ``BETHE_LAB_MAX_N``, a magnon
+sector larger than ``hilbert.SECTOR_DIM_CAP``) prints one
+``bethe-lab: error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    h = hilbert.hamiltonian(args.n)
-    eigs, _ = hilbert.eig_hermitian(h)
-    entries = hilbert.spectrum_with_multiplicities(eigs)
+    entries = hilbert.exact_spectrum(args.n)
     print(f"exact spectrum of the n={args.n} chain (units of J):")
     for e in entries:
         print(f"  {e.energy:+.10f}  x{e.multiplicity}")

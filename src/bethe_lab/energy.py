@@ -141,38 +141,3 @@ def energy_logderiv(
     e1, e2 = eps_ladder[-2], eps_ladder[-1]
     extrap = (e1 * values[-1] - e2 * values[-2]) / (e1 - e2)
     return _pack(extrap, LAMBDA_LOGDERIV)
-
-
-def derivation_step_ratios(
-    rootset: RootSet, epsilon: float, scheme: str = C1_SCHEME
-) -> tuple[complex, complex]:
-    """The two scalar checkpoints of the singular-energy derivation.
-
-    Splitting i dLambda/dL at L = i/2 into the no-derivative piece A_0
-    and the per-root pieces A_j, the ratio A_0 / Lambda(i/2) equals n
-    identically, while (A_1 + A_2) / Lambda(i/2) tends to -2 as the
-    regularization is removed.  Both ratios are returned at the given
-    epsilon.
-    """
-    n = rootset.n
-    others = singular_partners(rootset.roots)
-    if others is None:
-        raise ValueError("step ratios are defined for singular root sets")
-    c = _scheme_constant(rootset, scheme)
-    roots = perturbed_singular_roots(others, n, RegularizationParams(epsilon, c, scheme))
-    lam0 = 0.5j
-    denom = 1j**n
-    for z in roots:
-        denom *= (z + 0.5j) / (z - 0.5j)
-    a0 = 1j * n * (lam0 + 0.5j) ** (n - 1)
-    for z in roots:
-        a0 *= (lam0 - z - 1j) / (lam0 - z)
-    pair_sum = 0j
-    for jj in (0, 1):
-        aj = 1j * (lam0 + 0.5j) ** n * 1j / (roots[jj] - lam0) ** 2
-        for m, z in enumerate(roots):
-            if m == jj:
-                continue
-            aj *= (lam0 - z - 1j) / (lam0 - z)
-        pair_sum += aj
-    return a0 / denom, pair_sum / denom

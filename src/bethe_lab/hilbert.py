@@ -23,13 +23,6 @@ SECTOR_DIM_CAP = 10_000
 EXACT_DIAG = "exact_diag"
 PHYSICAL_SINGULAR = "physical_singular"
 
-PAULI = {
-    1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
 class NonHermitianError(ValueError):
     """Matrix handed to the Hermitian eigensolver is not Hermitian."""
 
@@ -63,17 +56,6 @@ def site_mask(k: int, n: int) -> int:
     return 1 << (n - k)
 
 
-def pauli_site(a: int, k: int, n: int) -> np.ndarray:
-    """Pauli matrix sigma^a acting on site k of an n-site chain."""
-    if a not in PAULI:
-        raise ValueError(f"Pauli axis must be 1, 2 or 3, got {a}")
-    _check_n(n)
-    site_mask(k, n)  # validates k
-    left = np.eye(1 << (k - 1), dtype=complex)
-    right = np.eye(1 << (n - k), dtype=complex)
-    return np.kron(np.kron(left, PAULI[a]), right)
-
-
 def vacuum_state(n: int) -> np.ndarray:
     """All-spins-up product state, the pseudo-vacuum |0>."""
     _check_n(n)
@@ -86,7 +68,9 @@ def hamiltonian(n: int, j: float = 1.0) -> np.ndarray:
     """Dense XXX Hamiltonian (J/4) sum_k (sigma_k.sigma_{k+1} - 1), periodic.
 
     Entries are real (the sigma^y sigma^y product is real); the matrix is
-    returned as float64.
+    returned as float64.  It takes 8 * 4**n bytes, so the package itself
+    never builds it: ``exact_spectrum`` works sector by sector.  It is
+    kept as the independent reference for tests.
     """
     if n < 2:
         raise ValueError(f"hamiltonian needs n >= 2, got {n}")
@@ -168,30 +152,6 @@ def highest_weight_basis(n: int, ell: int) -> np.ndarray:
     return vh[rank:].T
 
 
-def translation_matrix(n: int) -> np.ndarray:
-    """Cyclic shift moving the spin at site k to site k+1."""
-    _check_n(n)
-    dim = 1 << n
-    b = np.arange(dim)
-    shifted = (b >> 1) | ((b & 1) << (n - 1))
-    t = np.zeros((dim, dim))
-    t[shifted, b] = 1.0
-    return t
-
-
-def raising_operator(n: int) -> np.ndarray:
-    """Total spin raising operator S^+ = sum_k (sigma^x_k + i sigma^y_k)/2."""
-    _check_n(n)
-    dim = 1 << n
-    s = np.zeros((dim, dim))
-    b = np.arange(dim)
-    for k in range(1, n + 1):
-        mask = site_mask(k, n)
-        down = (b & mask) != 0
-        s[b[down] ^ mask, b[down]] += 1.0
-    return s
-
-
 def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
@@ -249,12 +209,32 @@ def spectrum_with_multiplicities(
     for i in range(1, len(eigs) + 1):
         if i == len(eigs) or eigs[i] - eigs[i - 1] > merge_tol:
             cluster = eigs[start:i]
-            entries.append(
-                SpectrumEntry(float(cluster.mean()), len(cluster), sector, source)
-            )
+            level = float(cluster.mean())
+            # the E = 0 level is eigensolver noise of either sign; store it exactly
+            if abs(level) <= merge_tol:
+                level = 0.0
+            entries.append(SpectrumEntry(level, len(cluster), sector, source))
             start = i
     assert sum(e.multiplicity for e in entries) == len(eigs)
     return entries
+
+
+def exact_spectrum(n: int) -> list[SpectrumEntry]:
+    """Exact spectrum of the chain as merged (energy, multiplicity) levels.
+
+    H conserves the magnon number, so its spectrum is the union of the
+    spectra of the n + 1 sector blocks; each block goes through
+    ``eig_hermitian`` and its checks.  The largest block, ell = n // 2,
+    is checked against ``SECTOR_DIM_CAP`` before any eigensolve.
+    """
+    _check_n(n)
+    largest = binomial(n, n // 2)
+    if largest > SECTOR_DIM_CAP:
+        raise ValueError(
+            f"sector dimension {largest} (n={n}, ell={n // 2}) exceeds cap {SECTOR_DIM_CAP}"
+        )
+    eigs = [eig_hermitian(sector_hamiltonian(n, ell))[0] for ell in range(n + 1)]
+    return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 
 def binomial(n: int, k: int) -> int:

@@ -141,13 +141,7 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
 
     sectors = [_sector_report(n, ell) for ell in range(n // 2 + 1)]
 
-    # exact diagonalization, sector by sector (energies in units of J)
-    all_eigs = np.sort(
-        np.concatenate(
-            [np.linalg.eigvalsh(hilbert.sector_hamiltonian(n, ell)) for ell in range(n + 1)]
-        )
-    )
-    diag_spectrum = hilbert.spectrum_with_multiplicities(all_eigs)
+    diag_spectrum = hilbert.exact_spectrum(n)
 
     bethe_levels: list[tuple[float, int]] = []
     nw_levels: list[tuple[float, int]] = []

@@ -1,0 +1,189 @@
+"""Dense 2^n x 2^n operators, kept only as independent references for tests.
+
+The package works on state vectors and magnon sectors and never builds
+these matrices; the tests build them, for small n, to check the
+package's operators against the textbook definitions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from bethe_lab import hilbert
+from bethe_lab.abba import (
+    C1_SCHEME,
+    PoleError,
+    RegularizationParams,
+    apply_monodromy,
+    perturbed_singular_roots,
+)
+from bethe_lab.baesolver import RootSet, singular_partners
+from bethe_lab.energy import _scheme_constant
+
+PAULI = {
+    1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    2: np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    3: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-space operators
+# ---------------------------------------------------------------------------
+
+
+def pauli_site(a: int, k: int, n: int) -> np.ndarray:
+    """Pauli matrix sigma^a acting on site k of an n-site chain."""
+    if a not in PAULI:
+        raise ValueError(f"Pauli axis must be 1, 2 or 3, got {a}")
+    hilbert._check_n(n)
+    hilbert.site_mask(k, n)  # validates k
+    left = np.eye(1 << (k - 1), dtype=complex)
+    right = np.eye(1 << (n - k), dtype=complex)
+    return np.kron(np.kron(left, PAULI[a]), right)
+
+
+def translation_matrix(n: int) -> np.ndarray:
+    """Cyclic shift moving the spin at site k to site k+1."""
+    hilbert._check_n(n)
+    dim = 1 << n
+    b = np.arange(dim)
+    shifted = (b >> 1) | ((b & 1) << (n - 1))
+    t = np.zeros((dim, dim))
+    t[shifted, b] = 1.0
+    return t
+
+
+def raising_operator(n: int) -> np.ndarray:
+    """Total spin raising operator S^+ = sum_k (sigma^x_k + i sigma^y_k)/2."""
+    hilbert._check_n(n)
+    dim = 1 << n
+    s = np.zeros((dim, dim))
+    b = np.arange(dim)
+    for k in range(1, n + 1):
+        mask = hilbert.site_mask(k, n)
+        down = (b & mask) != 0
+        s[b[down] ^ mask, b[down]] += 1.0
+    return s
+
+
+# ---------------------------------------------------------------------------
+# algebraic Bethe ansatz operators
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class MonodromyBlocks:
+    """Dense auxiliary-space blocks of the monodromy matrix at one rapidity."""
+
+    lam: complex
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.a + self.d
+
+
+def r_matrix(lam: complex) -> np.ndarray:
+    """4x4 rational R-matrix (1/(L+i)) ((L/2 + i) I + (L/2) sum sigma (x) sigma)."""
+    lam = complex(lam)
+    if abs(lam + 1j) < 1e-12:
+        raise PoleError("R-matrix has a pole at lambda = -i")
+    ss = sum(np.kron(PAULI[a], PAULI[a]) for a in (1, 2, 3))
+    return ((lam / 2 + 1j) * np.eye(4, dtype=complex) + (lam / 2) * ss) / (lam + 1j)
+
+
+def l_operator(k: int, lam: complex, n: int) -> list[list[np.ndarray]]:
+    """The 2x2 auxiliary-space blocks of L_k as dense 2^n matrices."""
+    lam = complex(lam)
+    eye = np.eye(1 << n, dtype=complex)
+    s1 = pauli_site(1, k, n)
+    s2 = pauli_site(2, k, n)
+    s3 = pauli_site(3, k, n)
+    return [
+        [lam * eye + 0.5j * s3, 0.5j * (s1 - 1j * s2)],
+        [0.5j * (s1 + 1j * s2), lam * eye - 0.5j * s3],
+    ]
+
+
+def monodromy(lam: complex, n: int) -> MonodromyBlocks:
+    """Dense monodromy blocks, built by applying the recursion to the identity."""
+    hilbert._check_n(n)
+    eye = np.eye(1 << n, dtype=complex)
+    a, b, c, d = apply_monodromy(lam, n, eye)
+    return MonodromyBlocks(complex(lam), a, b, c, d)
+
+
+def transfer_matrix(lam: complex, n: int) -> np.ndarray:
+    return monodromy(lam, n).tau
+
+
+def unwanted_term(lam: complex, k: int, roots, n: int | None = None) -> complex:
+    """Coefficient of the k-th unwanted term in tau acting on a Bethe state.
+
+    Vanishes exactly when the k-th Bethe equation holds; for the
+    regularized singular pair it scales like eps^(n+1).
+    """
+    if isinstance(roots, RootSet):
+        n = roots.n
+        roots = roots.roots
+    if n is None:
+        raise ValueError("n required when passing a bare root sequence")
+    roots = [complex(z) for z in roots]
+    lam = complex(lam)
+    lk = roots[k]
+    if abs(lam - lk) < 1e-12:
+        raise PoleError("evaluation point collides with the selected root")
+    plus = (lk + 0.5j) ** n
+    minus = (lk - 0.5j) ** n
+    for j_, z in enumerate(roots):
+        if j_ == k:
+            continue
+        plus *= (lk - z - 1j) / (lk - z)
+        minus *= (z - lk - 1j) / (z - lk)
+    return 1j / (lam - lk) * (plus - minus)
+
+
+# ---------------------------------------------------------------------------
+# the singular-energy derivation
+# ---------------------------------------------------------------------------
+
+
+def derivation_step_ratios(
+    rootset: RootSet, epsilon: float, scheme: str = C1_SCHEME
+) -> tuple[complex, complex]:
+    """The two scalar checkpoints of the singular-energy derivation.
+
+    Splitting i dLambda/dL at L = i/2 into the no-derivative piece A_0
+    and the per-root pieces A_j, the ratio A_0 / Lambda(i/2) equals n
+    identically, while (A_1 + A_2) / Lambda(i/2) tends to -2 as the
+    regularization is removed.  Both ratios are returned at the given
+    epsilon.
+    """
+    n = rootset.n
+    others = singular_partners(rootset.roots)
+    if others is None:
+        raise ValueError("step ratios are defined for singular root sets")
+    c = _scheme_constant(rootset, scheme)
+    roots = perturbed_singular_roots(others, n, RegularizationParams(epsilon, c, scheme))
+    lam0 = 0.5j
+    denom = 1j**n
+    for z in roots:
+        denom *= (z + 0.5j) / (z - 0.5j)
+    a0 = 1j * n * (lam0 + 0.5j) ** (n - 1)
+    for z in roots:
+        a0 *= (lam0 - z - 1j) / (lam0 - z)
+    pair_sum = 0j
+    for jj in (0, 1):
+        aj = 1j * (lam0 + 0.5j) ** n * 1j / (roots[jj] - lam0) ** 2
+        for m, z in enumerate(roots):
+            if m == jj:
+                continue
+            aj *= (lam0 - z - 1j) / (lam0 - z)
+        pair_sum += aj
+    return a0 / denom, pair_sum / denom

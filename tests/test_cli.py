@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bethe_lab import baesolver as bs, cli, pipeline, plots
+from bethe_lab import baesolver as bs, cli, hilbert, pipeline, plots
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_run_subcommand_writes_report(tmp_path, capsys):
@@ -20,6 +26,56 @@ def test_diag_subcommand(capsys):
     assert cli.main(["diag", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "total states: 16" in out
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_diag_prints_zero_level_exactly(n, capsys):
+    # the ferromagnetic multiplet, spin n/2, holds n + 1 states at E = 0
+    assert cli.main(["diag", "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert f"  +0.0000000000  x{n + 1}\n" in out
+    assert "-0.0000000000" not in out
+
+
+def test_diag_never_builds_the_dense_hamiltonian(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diag built the dense 2^n x 2^n Hamiltonian")
+
+    monkeypatch.setattr(hilbert, "hamiltonian", forbidden)
+    assert cli.main(["diag", "--n", "8"]) == 0
+    assert "total states: 256" in capsys.readouterr().out
+
+
+def test_diag_rejects_oversized_sector_before_any_eigensolve(capsys, monkeypatch):
+    monkeypatch.setenv("BETHE_LAB_MAX_N", "16")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sector was built or diagonalized for an oversized chain")
+
+    monkeypatch.setattr(hilbert, "sector_hamiltonian", forbidden)
+    monkeypatch.setattr(hilbert, "eig_hermitian", forbidden)
+    assert cli.main(["diag", "--n", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bethe-lab: error: "), captured.err
+    assert "sector dimension 12870 (n=16, ell=8)" in lines[0]  # C(16, 8) > SECTOR_DIM_CAP
+
+
+def test_diag_n13_peak_rss_below_dense_matrix(tmp_path):
+    # the dense float64 H alone would take 8 * 4**13 bytes = 512 MiB
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    with open(tmp_path / "out.txt", "w") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bethe_lab.cli", "diag", "--n", "13"], stdout=out, env=env
+        )
+    # wait4 reports this child's own resource usage; ru_maxrss is in KiB on Linux
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert "total states: 8192" in (tmp_path / "out.txt").read_text()
+    assert usage.ru_maxrss / 1024 <= 400, usage.ru_maxrss
 
 
 def test_solve_subcommand(capsys):

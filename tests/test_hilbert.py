@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from bethe_lab import hilbert
 
+import dense_ops
+
 
 def test_pauli_site_single_site_sigma_z():
-    assert np.allclose(hilbert.pauli_site(3, 1, 1), np.diag([1.0, -1.0]))
+    assert np.allclose(dense_ops.pauli_site(3, 1, 1), np.diag([1.0, -1.0]))
 
 
 def test_pauli_site_bit_flip_on_least_significant_site():
     # site 2 of a 2-site chain is the least significant bit: |00> <-> |01>
-    sx = hilbert.pauli_site(1, 2, 2)
+    sx = dense_ops.pauli_site(1, 2, 2)
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 1.0
     expected[2, 3] = expected[3, 2] = 1.0
@@ -23,15 +27,15 @@ def test_pauli_involution_random_sites():
         n = int(rng.integers(1, 7))
         k = int(rng.integers(1, n + 1))
         a = int(rng.integers(1, 4))
-        s = hilbert.pauli_site(a, k, n)
+        s = dense_ops.pauli_site(a, k, n)
         assert np.allclose(s @ s, np.eye(1 << n))
 
 
 def test_pauli_site_argument_errors():
     with pytest.raises(ValueError):
-        hilbert.pauli_site(4, 1, 2)
+        dense_ops.pauli_site(4, 1, 2)
     with pytest.raises(ValueError):
-        hilbert.pauli_site(1, 3, 2)
+        dense_ops.pauli_site(1, 3, 2)
 
 
 def test_two_site_chain_spectrum():
@@ -61,7 +65,7 @@ def test_hamiltonian_matches_pauli_sum_construction():
         for k in range(1, n + 1):
             knext = k % n + 1
             for a in (1, 2, 3):
-                ref += hilbert.pauli_site(a, k, n) @ hilbert.pauli_site(a, knext, n)
+                ref += dense_ops.pauli_site(a, k, n) @ dense_ops.pauli_site(a, knext, n)
             ref -= np.eye(dim)
         ref /= 4.0
         assert np.abs(ref - hilbert.hamiltonian(n)).max() < 1e-14
@@ -113,6 +117,17 @@ def test_spectrum_requires_sorted_input():
         hilbert.spectrum_with_multiplicities([1.0, 0.0])
 
 
+def test_spectrum_stores_zero_level_exactly():
+    # eigensolver noise of either sign around E = 0 becomes +0.0
+    for noise in ([-1e-16, 2e-16, 3e-16], [-3e-16, -1e-16, -2e-16]):
+        entries = hilbert.spectrum_with_multiplicities([-1.0, *sorted(noise)], merge_tol=1e-8)
+        assert [(e.energy, e.multiplicity) for e in entries] == [(-1.0, 1), (0.0, 3)]
+        assert math.copysign(1.0, entries[1].energy) == 1.0
+    # a level further than merge_tol from 0 keeps its value
+    entries = hilbert.spectrum_with_multiplicities([2e-8, 2e-8], merge_tol=1e-8)
+    assert entries[0].energy == 2e-8
+
+
 def test_six_site_thirteen_levels():
     w = np.sort(np.linalg.eigvalsh(hilbert.hamiltonian(6)))
     entries = hilbert.spectrum_with_multiplicities(w)
@@ -142,10 +157,23 @@ def test_sector_spectra_union_equals_full_spectrum():
         assert np.abs(full - sector).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_spectrum_matches_dense_reference(n):
+    # independent route: one eigvalsh of the dense 2^n x 2^n Hamiltonian
+    dense = hilbert.spectrum_with_multiplicities(
+        np.sort(np.linalg.eigvalsh(hilbert.hamiltonian(n)))
+    )
+    sector = hilbert.exact_spectrum(n)
+    assert len(sector) == len(dense)
+    assert [e.multiplicity for e in sector] == [e.multiplicity for e in dense]
+    assert max(abs(a.energy - b.energy) for a, b in zip(sector, dense)) <= 1e-9
+    assert sum(e.multiplicity for e in sector) == 2**n
+
+
 def test_translation_commutes_with_hamiltonian():
     for n in (3, 6, 8):
         h = hilbert.hamiltonian(n)
-        t = hilbert.translation_matrix(n)
+        t = dense_ops.translation_matrix(n)
         assert np.abs(t @ h - h @ t).max() == 0.0
 
 
@@ -187,7 +215,7 @@ def test_sector_dimension_cap(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_highest_weight_basis_is_ker_s_plus(n):
-    s_plus = hilbert.raising_operator(n)  # dense reference
+    s_plus = dense_ops.raising_operator(n)  # dense reference
     for ell in range(n // 2 + 1):
         basis = hilbert.highest_weight_basis(n, ell)
         d = hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)

@@ -37,6 +37,12 @@ def test_four_site_diag_dimension(report4):
     assert report4.audit["dimension_check"]
 
 
+def test_four_site_zero_level_is_exact(report4):
+    data = pipeline.report_to_dict(report4)
+    (zero,) = [lv for lv in data["diag_spectrum"] if lv["multiplicity"] == 5]
+    assert json.dumps(zero) == '{"energy": 0.0, "multiplicity": 5}'
+
+
 def test_report_round_trip(report4, tmp_path):
     path = tmp_path / "report.json"
     emitted = pipeline.emit_report(report4, str(path))
