@@ -18,10 +18,14 @@ and cancelling its contribution leaves the reduced system
 for the remaining roots.  A singular solution is physical when the two
 admissible regularization constants agree.
 
-``solve_sector`` starts Newton once per highest-weight eigenstate, from
-the roots of the polynomial Q that solves Baxter's TQ relation with that
-state's transfer-matrix eigenvalue; such a Q exists exactly for the
-regular and physical singular solutions.
+``solve_sector`` takes the Bethe roots of each highest-weight eigenstate
+as the roots of the polynomial Q that solves Baxter's TQ relation with
+that state's transfer-matrix eigenvalue; such a Q exists exactly for the
+regular and physical singular solutions.  Each state is certified in
+float64 by two checks that do not cancel: the relative TQ residual of
+its Q, and the agreement of the closed-form energy of its roots with
+<x|H|x> of its own transfer-matrix eigenvector x.  The residual system
+above is kept as an independent score of a root set (``bae_residual``).
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ UNCLASSIFIED = "unclassified"
 TOL_EQUAL = 1e-9
 TOL_SINGULAR = 1e-6
 DEDUP_TOL = 1e-7
-NEWTON_TOL = 1e-11
-MAX_NEWTON_ITERS = 60
+TQ_TOL = 1e-12  # relative TQ residual ||M q|| / (||M||_2 ||q||) of a kept state
+ENERGY_TOL = 1e-8  # relative gap between closed-form energy and <x|H|x>
 
-_DIVERGED_ABS = 50.0  # iterates beyond this radius are written off
+_SNAP_FLOOR = 1e-11  # Bethe residual a real-axis snap may always reach
 
 
 class StrangeRootsError(ValueError):
@@ -80,15 +84,6 @@ class SolverConfig:
     seed_strategies: ClassVar[frozenset[str]] = frozenset(
         {"random_real", "random_complex", "string_hypothesis", "symmetric_pairs"}
     )
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    converged: bool
-    roots: tuple[complex, ...]
-    residual: float
-    iterations: int
-    message: str = ""
 
 
 def canonical_roots(roots) -> tuple[complex, ...]:
@@ -146,7 +141,7 @@ def multiset_eq(a, b, tol: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# residual system, batched over starts
+# residual system, batched over root vectors
 # ---------------------------------------------------------------------------
 
 
@@ -186,125 +181,6 @@ def _residuals(lam: np.ndarray, n: int, reduced: bool) -> np.ndarray:
     return r.max(axis=1)
 
 
-def _jacobian(lam: np.ndarray, n: int, reduced: bool):
-    """Analytic Jacobian dF_k/dL_m for the batch, plus F itself.
-
-    Works in the batch's dtype, so an object array of ``mpmath.mpc``
-    gives an arbitrary-precision Jacobian.
-    """
-    bsz, m = lam.shape
-    f, _, (u, v, em, ep, dm, dp, pm, pp, p) = _system(lam, n, reduced)
-    de = 1.0 if reduced else 0.0
-    jac = np.zeros((bsz, m, m), dtype=lam.dtype)
-    one = np.ones(bsz, dtype=lam.dtype)
-    idx = list(range(m))
-    for k in range(m):
-        # leave-one-out products over j != k, mm
-        loo_m = {}
-        loo_p = {}
-        for mm in range(m):
-            if mm == k:
-                continue
-            keep = [j for j in idx if j != k and j != mm]
-            loo_m[mm] = dm[:, k, keep].prod(axis=1) if keep else one
-            loo_p[mm] = dp[:, k, keep].prod(axis=1) if keep else one
-        sum_m = sum(loo_m.values())
-        sum_p = sum(loo_p.values())
-        jac[:, k, k] = (
-            (p * u[:, k] ** (p - 1) * em[:, k] + u[:, k] ** p * de) * pm[:, k]
-            + u[:, k] ** p * em[:, k] * sum_m
-            - (p * v[:, k] ** (p - 1) * ep[:, k] + v[:, k] ** p * de) * pp[:, k]
-            - v[:, k] ** p * ep[:, k] * sum_p
-        )
-        for mm in range(m):
-            if mm == k:
-                continue
-            jac[:, k, mm] = (
-                -u[:, k] ** p * em[:, k] * loo_m[mm]
-                + v[:, k] ** p * ep[:, k] * loo_p[mm]
-            )
-    return f, jac
-
-
-def _batch_newton(starts: np.ndarray, n: int, reduced: bool):
-    """Damped Newton on every start; returns (roots, residuals, converged, iters)."""
-    lam = np.array(starts, dtype=complex)
-    bsz, m = lam.shape
-    res = _residuals(lam, n, reduced)
-    iters = np.zeros(bsz, dtype=int)
-    dead = ~np.isfinite(res)
-    for _ in range(MAX_NEWTON_ITERS):
-        active = (res > NEWTON_TOL) & ~dead
-        if not active.any():
-            break
-        ai = np.where(active)[0]
-        f, jac = _jacobian(lam[ai], n, reduced)
-        try:
-            step = np.linalg.solve(jac, -f[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = -(np.linalg.pinv(jac) @ f[..., None])[..., 0]
-        step = np.where(np.isfinite(step), step, 0.0)
-        # keep steps bounded; Newton far from a root can explode
-        norms = np.abs(step).max(axis=1)
-        big = norms > 4.0
-        step[big] *= (4.0 / norms[big])[:, None]
-
-        alpha = np.ones(len(ai))
-        cur = res[ai]
-        cand = lam[ai] + step
-        cand_res = _residuals(cand, n, reduced)
-        improved = cand_res < cur
-        for _half in range(20):
-            if improved.all():
-                break
-            bad = ~improved
-            alpha[bad] /= 2.0
-            cand[bad] = lam[ai][bad] + alpha[bad, None] * step[bad]
-            cand_res[bad] = _residuals(cand[bad], n, reduced)
-            improved = improved | (cand_res < cur)
-        moved = ai[improved]
-        lam[moved] = cand[improved]
-        res[moved] = cand_res[improved]
-        iters[moved] += 1
-        dead[ai[~improved]] = True  # 20 halvings without progress
-        dead |= np.abs(lam).max(axis=1) > _DIVERGED_ABS
-    conv = (res <= NEWTON_TOL) & ~dead & np.isfinite(res)
-    return lam, res, conv, iters
-
-
-def _mp_polish(roots, n: int, reduced: bool):
-    """Arbitrary-precision Newton verification of an uncertified iterate.
-
-    float64 cannot certify roots whose string deviations fall below ~1e-5
-    (the residual floors at eps/deviation: already ~1e-7 for the 1e-9
-    deviations that appear at n=10).  This runs ``_system`` and
-    ``_jacobian`` on ``mpmath.mpc`` values at 50 digits and returns
-    (roots, residual, ok); ``ok`` means the residual is below NEWTON_TOL,
-    which certifies string deviations far below the float64 noise floor.
-    """
-    import mpmath as mp
-
-    with mp.workdps(50):
-        lam = np.array([[mp.mpc(z) for z in roots]], dtype=object)
-        res = mp.inf
-        for _ in range(50):
-            f, scale, _ = _system(lam, n, reduced)
-            res = max(
-                (abs(fk) / sk if sk > 0 else abs(fk)) for fk, sk in zip(f[0], scale[0])
-            )
-            if res < 1e-30:
-                break
-            _, jac = _jacobian(lam, n, reduced)
-            try:
-                delta = mp.lu_solve(mp.matrix(jac[0].tolist()), [-fk for fk in f[0]])
-            except ZeroDivisionError:
-                return tuple(complex(z) for z in lam[0]), float(res), False
-            if max(abs(d) for d in delta) > 1.0:
-                return tuple(complex(z) for z in lam[0]), float(res), False
-            lam = lam + np.array([list(delta)], dtype=object)
-        return tuple(complex(z) for z in lam[0]), float(res), bool(res <= NEWTON_TOL)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -330,20 +206,6 @@ def bae_residual(roots, n: int, tol_equal: float = TOL_EQUAL) -> float:
         return float(_residuals(lam, n, reduced=True)[0])
     lam = np.array([roots], dtype=complex)
     return float(_residuals(lam, n, reduced=False)[0])
-
-
-def newton_refine(start, n: int) -> NewtonResult:
-    """Damped Newton from one start vector on the full polynomial system."""
-    start = [complex(z) for z in start]
-    if _has_duplicates(start, TOL_EQUAL):
-        raise StrangeRootsError("start has coinciding entries; Jacobian would be singular")
-    lam, res, conv, iters = _batch_newton(np.array([start], dtype=complex), n, reduced=False)
-    roots = canonical_roots(lam[0])
-    if conv[0]:
-        return NewtonResult(True, roots, float(res[0]), int(iters[0]))
-    return NewtonResult(
-        False, roots, float(res[0]), int(iters[0]), "did not reach NEWTON_TOL"
-    )
 
 
 def nw_constants(roots: RootSet | tuple, n: int | None = None) -> tuple[complex, complex]:
@@ -394,12 +256,14 @@ def classify(rootset: RootSet) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _tq_roots(lam_coeffs, n: int, ell: int) -> np.ndarray:
-    """Roots of the monic degree-ell Q in Baxter's TQ relation.
+def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
+    """Roots of the monic degree-ell Q in Baxter's TQ relation, and its residual.
 
     Lambda(u) Q(u) = (u + i/2)^n Q(u - i) + (u - i/2)^n Q(u + i) is linear
-    in the coefficients of Q, so with Q monic it is a least-squares
-    problem; ``lam_coeffs`` are the coefficients of Lambda, lowest first.
+    in the coefficients q of Q, M q = 0, so with Q monic it is a
+    least-squares problem; ``lam_coeffs`` are the coefficients of Lambda,
+    lowest first.  The residual is ||M q|| / (||M||_2 ||q||): about 1e-14
+    for a true eigenvalue, and above 1e-8 once Lambda is off by 1e-6.
     """
     poly = np.polynomial.polynomial
     plus = poly.polypow([0.5j, 1.0], n)
@@ -415,28 +279,9 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> np.ndarray:
             ),
         )
         cols[: len(term), k] = term
-    q = np.linalg.lstsq(cols[:, :ell], -cols[:, ell], rcond=None)[0]
-    return np.roots(np.append(q, 1.0)[::-1])
-
-
-def _certify(starts: list, n: int, reduced: bool):
-    """Certified (roots, residual) pairs reached from the given starts.
-
-    Float64 Newton runs on every start at once; what it cannot certify
-    goes through ``_mp_polish``, and what neither certifies is dropped.
-    """
-    if not starts:
-        return []
-    if not len(starts[0]):
-        return [((), 0.0)] * len(starts)  # the bare singular pair
-    lam, res, conv, _ = _batch_newton(np.array(starts), n, reduced)
-    out = []
-    for row, r, ok in zip(lam, res, conv):
-        if not ok:
-            row, r, ok = _mp_polish(row, n, reduced)
-        if ok:
-            out.append((_snap_real_axis(canonical_roots(row), n, reduced), float(r)))
-    return out
+    q = np.append(np.linalg.lstsq(cols[:, :ell], -cols[:, ell], rcond=None)[0], 1.0)
+    residual = np.linalg.norm(cols @ q) / (np.linalg.norm(cols, 2) * np.linalg.norm(q))
+    return np.roots(q[::-1]), float(residual)
 
 
 def _snap_real_axis(roots, n: int, reduced: bool):
@@ -448,7 +293,7 @@ def _snap_real_axis(roots, n: int, reduced: bool):
         return tuple(roots)
     before = float(_residuals(np.array([roots], dtype=complex), n, reduced)[0])
     after = float(_residuals(np.array([snapped], dtype=complex), n, reduced)[0])
-    if after <= max(NEWTON_TOL, 2.0 * before):
+    if after <= max(_SNAP_FLOOR, 2.0 * before):
         return snapped
     return tuple(roots)
 
@@ -496,42 +341,55 @@ class _SumIndex:
 def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[RootSet]:
     """Every regular and physical singular Bethe root set of the (n, ell) sector.
 
-    One start per highest-weight eigenstate: the transfer-matrix
-    eigenvalue Lambda(u) of the state fixes Baxter's Q, whose roots are
-    the Bethe roots.  A start holding the pair {i/2, -i/2} is certified
-    on the reduced system for its other roots.  Float64 Newton and the
-    50-digit ``_mp_polish`` certify each start; a start that neither
-    certifies, that classifies as non-physical, or that repeats a kept
-    set is dropped, so it shows up as a count shortfall in the caller's
-    audit against the rigged configuration census.
+    One state per highest-weight eigenstate x of the transfer matrix: its
+    eigenvalue Lambda(u) fixes Baxter's Q, whose roots are the Bethe
+    roots.  A set holding the pair {i/2, -i/2} gets that pair exactly,
+    and its other roots may not collide with it.  A state is kept when
+    the relative TQ residual of its Q is at most ``TQ_TOL``, when it
+    classifies as regular or physical singular, and when its closed-form
+    energy (``energy_regular`` or ``energy_nw``) equals <x|H|x> on the
+    sector Hamiltonian within ``ENERGY_TOL`` * max(1, |E|).  A state
+    that fails, or that repeats a kept set, is dropped, so it shows up
+    as a count shortfall in the caller's audit against the rigged
+    configuration census.  ``residual`` is the TQ residual.
     """
-    from . import abba
+    from . import abba, energy, hilbert
 
     if not 0 <= 2 * ell <= n:
         raise ValueError(f"need 0 <= ell <= n/2, got ell={ell}, n={n}")
     if ell == 0:
         return [RootSet(n, (), REGULAR, 0.0)]
 
-    full, reduced = [], []
-    for lam_coeffs in abba.transfer_eigenpolynomials(n, ell):
-        roots = _tq_roots(lam_coeffs, n, ell)
-        others = singular_partners(roots)
-        if others is None:
-            full.append(roots)
-        else:
-            reduced.append(others)
-
-    cands = _certify(full, n, reduced=False)
-    for extra, rres in _certify(reduced, n, reduced=True):
-        # extra roots may not collide with the fixed pair
-        if all(min(abs(z - 0.5j), abs(z + 0.5j)) > TOL_SINGULAR for z in extra):
-            cands.append(((0.5j, -0.5j, *extra), rres))
+    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+    h_states = hilbert.sector_hamiltonian(n, ell) @ states
+    rayleigh = (states.conj() * h_states).sum(axis=0).real / (
+        np.abs(states) ** 2
+    ).sum(axis=0)
 
     kept = _SumIndex(DEDUP_TOL)
     out = []
-    for roots, rres in cands:
-        rs = classify(RootSet(n, canonical_roots(roots), residual=rres))
-        if rs.classification not in (REGULAR, PHYSICAL_SINGULAR):
+    for coeffs, e_state in zip(lam_coeffs, rayleigh):
+        roots, tq_residual = _tq_roots(coeffs, n, ell)
+        if not tq_residual <= TQ_TOL:
+            continue
+        others = singular_partners(roots)
+        if others is None:
+            roots = _snap_real_axis(canonical_roots(roots), n, reduced=False)
+        else:
+            extra = _snap_real_axis(canonical_roots(others), n, reduced=True)
+            # extra roots may not collide with the fixed pair
+            if any(min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR for z in extra):
+                continue
+            roots = (0.5j, -0.5j, *extra)
+        rs = classify(RootSet(n, canonical_roots(roots), residual=tq_residual))
+        if rs.classification == REGULAR:
+            e = energy.energy_regular(rs)
+        elif rs.classification == PHYSICAL_SINGULAR:
+            e = energy.energy_nw(rs)
+        else:
+            continue
+        gap = abs(complex(e.energy - e_state, e.imag_leak))
+        if gap > ENERGY_TOL * max(1.0, abs(e.energy)):
             continue
         if kept.first_match(rs.roots) is None:
             kept.add(rs.roots)

@@ -22,7 +22,7 @@ import numpy as np
 from . import abba, baesolver, energy, hilbert, rigged
 
 SPECTRAL_CLOSURE_TOL = 1e-5
-SCHEMA_VERSION = "bethe-lab/2"
+SCHEMA_VERSION = "bethe-lab/3"
 
 EXIT_OK = 0
 EXIT_COUNT_SHORTFALL = 2
@@ -198,7 +198,7 @@ def _levels_json(levels) -> list[dict]:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready dict with stable field order (schema bethe-lab/2)."""
+    """JSON-ready dict with stable field order (schema bethe-lab/3)."""
     sectors = []
     for sec in report.sectors:
         sols = []

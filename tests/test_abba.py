@@ -249,9 +249,15 @@ def test_transfer_eigenvalue_matches_operator_action():
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_transfer_eigenpolynomials_match_solved_states(ell, solved):
     n = 6
-    coeffs = abba.transfer_eigenpolynomials(n, ell)
+    coeffs, vecs = abba.transfer_eigenpolynomials(n, ell)
     states = solved(n, ell)
     assert coeffs.shape == (len(states), n + 1)
+    assert vecs.shape == (hilbert.binomial(n, ell), len(states))
+    # the columns are unit eigenvectors of H in sector coordinates
+    h_vecs = hilbert.sector_hamiltonian(n, ell) @ vecs
+    energies = (vecs.conj() * h_vecs).sum(axis=0)
+    np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+    assert np.abs(h_vecs - vecs * energies).max() <= 1e-9
     lams = _random_lams(4, seed=20 + ell)
     from_poly = np.array([[np.polynomial.polynomial.polyval(u, c) for u in lams] for c in coeffs])
     from_roots = np.array([[abba.transfer_eigenvalue(u, s) for u in lams] for s in states])

@@ -6,6 +6,8 @@ import pytest
 
 from bethe_lab import abba, baesolver as bs
 
+import mp_newton
+
 SQ12 = 1 / math.sqrt(12)
 
 # six-digit reference tables for the n=6 chain.  The published table
@@ -70,35 +72,7 @@ def test_residual_singular_set_uses_reduced_system():
 
 
 # ---------------------------------------------------------------------------
-# Newton refinement
-# ---------------------------------------------------------------------------
-
-
-def test_newton_converges_to_a_table_row():
-    result = bs.newton_refine([0.5, -0.1], 6)
-    assert result.converged
-    assert bs.multiset_eq(result.roots, (0.631084, -0.198071), 1e-5)
-
-
-def test_newton_fixed_point_returns_immediately():
-    exact = bs.newton_refine([SQ12, -SQ12], 4)
-    assert exact.converged
-    assert exact.iterations == 0
-
-
-def test_newton_rejects_coinciding_start():
-    with pytest.raises(bs.StrangeRootsError):
-        bs.newton_refine([0.5, 0.5], 6)
-
-
-def test_newton_divergence_reported_not_raised():
-    result = bs.newton_refine([30.0, 40.0], 6)
-    assert not result.converged
-    assert result.message
-
-
-# ---------------------------------------------------------------------------
-# the residual system shared by float64 Newton and the mpmath polish
+# the residual system and the 50-digit Newton reference built on it
 # ---------------------------------------------------------------------------
 
 
@@ -122,7 +96,7 @@ def _separated_points(rng, batch, m):
 def test_jacobian_matches_central_differences(m, reduced):
     n, h = 10, 1e-6
     lam = _separated_points(np.random.default_rng((2026, m, reduced)), 4, m)
-    f, jac = bs._jacobian(lam, n, reduced)
+    f, jac = mp_newton._jacobian(lam, n, reduced)
     assert jac.dtype == complex
     f0, _, _ = bs._system(lam, n, reduced)
     np.testing.assert_array_equal(f, f0)
@@ -145,7 +119,7 @@ def test_jacobian_keeps_mpmath_precision(m, reduced):
     pts = _separated_points(np.random.default_rng((42, m, reduced)), 2, m)
     with mp.workdps(50):
         lam = np.array([[mp.mpc(z) for z in row] for row in pts], dtype=object)
-        f, jac = bs._jacobian(lam, n, reduced)
+        f, jac = mp_newton._jacobian(lam, n, reduced)
         h = mp.mpf("1e-20")
         for q in range(m):
             step = np.zeros(m, dtype=object)
@@ -255,7 +229,72 @@ def test_no_duplicate_solutions_as_multisets(solved):
 def test_converged_residuals_within_tolerance(solved):
     for n, ell in ((4, 2), (6, 3), (8, 4)):
         for s in solved(n, ell):
-            assert s.residual <= bs.NEWTON_TOL
+            assert s.residual <= bs.TQ_TOL
+
+
+def test_reported_root_sets_pass_float64_or_50_digit_newton(solved):
+    # an independent re-proof of every reported set: either the float64
+    # Bethe residual is already tiny, or 50-digit Newton started from the
+    # reported roots converges without moving them (narrow strings,
+    # whose float64 residual floors at eps / deviation)
+    by_newton = 0
+    for n in range(4, 11):
+        for ell in range(1, n // 2 + 1):
+            for s in solved(n, ell):
+                if bs.bae_residual(s.roots, n) <= 1e-11:
+                    continue
+                others = bs.singular_partners(s.roots)
+                reduced = others is not None
+                start = others if reduced else s.roots
+                polished, res, ok = mp_newton._mp_polish(start, n, reduced)
+                assert ok, (s, res)
+                assert max(abs(a - b) for a, b in zip(polished, start)) <= 1e-10, s
+                by_newton += 1
+    assert by_newton  # the n = 10 narrow strings need the 50-digit step
+
+
+def _perturbed(lam_coeffs, rel, seed):
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=lam_coeffs.shape) + 1j * rng.normal(size=lam_coeffs.shape)
+    return lam_coeffs * (1.0 + rel * noise)
+
+
+@pytest.mark.parametrize("n,ell", [(6, 2), (6, 3), (8, 3)])
+def test_tq_check_drops_perturbed_eigenvalues(n, ell, monkeypatch):
+    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+    noisy = _perturbed(lam_coeffs, 1e-6, seed=(n, ell))
+    for coeffs in lam_coeffs:
+        assert bs._tq_roots(coeffs, n, ell)[1] <= bs.TQ_TOL
+    for coeffs in noisy:
+        assert bs._tq_roots(coeffs, n, ell)[1] > 1e3 * bs.TQ_TOL
+    # the eigenvectors are untouched, so for some states the energy of
+    # the shifted roots still passes; only the TQ check drops those
+    monkeypatch.setattr(abba, "transfer_eigenpolynomials", lambda *_: (noisy, states))
+    assert bs.solve_sector(n, ell) == []
+
+
+@pytest.mark.parametrize("n,ell", [(6, 2), (8, 3), (8, 4)])
+def test_energy_check_drops_swapped_eigenvectors(n, ell, solved, monkeypatch):
+    from bethe_lab import hilbert
+
+    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+    h = hilbert.sector_hamiltonian(n, ell)
+    energies = (states.conj() * (h @ states)).sum(axis=0).real
+    a, b = next(
+        (i, j)
+        for i, j in itertools.combinations(range(len(energies)), 2)
+        if abs(energies[i] - energies[j]) > 1e-3
+    )
+    swapped = states.copy()
+    swapped[:, [a, b]] = states[:, [b, a]]
+    monkeypatch.setattr(abba, "transfer_eigenpolynomials", lambda *_: (lam_coeffs, swapped))
+    kept = bs.solve_sector(n, ell)
+    dropped = [bs._tq_roots(lam_coeffs[k], n, ell)[0] for k in (a, b)]
+    full = solved(n, ell)
+    assert len(kept) == len(full) - 2
+    for s in full:
+        gone = any(bs.multiset_eq(s.roots, roots, 1e-6) for roots in dropped)
+        assert (s in kept) != gone, s
 
 
 def test_count_identity_small_chains(solved):

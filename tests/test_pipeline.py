@@ -48,7 +48,7 @@ def test_report_round_trip(report4, tmp_path):
     emitted = pipeline.emit_report(report4, str(path))
     parsed = json.loads(path.read_text())
     assert parsed == emitted
-    assert parsed["schema"] == "bethe-lab/2"
+    assert parsed["schema"] == "bethe-lab/3"
     # root sets survive the round trip
     rootsets = pipeline.rootsets_from_report(parsed)
     originals = [rec.rootset for sec in report4.sectors for rec in sec.solutions]
