@@ -24,14 +24,16 @@ that state's transfer-matrix eigenvalue; such a Q exists exactly for the
 regular and physical singular solutions.  Each state is certified in
 float64 by two checks that do not cancel: the relative TQ residual of
 its Q, and the agreement of the closed-form energy of its roots with
-<x|H|x> of its own transfer-matrix eigenvector x.  The residual system
-above is kept as an independent score of a root set (``bae_residual``).
+<x|H|x> of its own transfer-matrix eigenvector x.  These two checks
+are the only filter: roots are neither snapped nor deduplicated.  When
+Lambda is real, Q is solved in real arithmetic, so its roots are exactly
+real or exact conjugate pairs.  The residual system above is kept as an
+independent score of a root set (``bae_residual``).
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -45,11 +47,8 @@ UNCLASSIFIED = "unclassified"
 
 TOL_EQUAL = 1e-9
 TOL_SINGULAR = 1e-6
-DEDUP_TOL = 1e-7
 TQ_TOL = 1e-12  # relative TQ residual ||M q|| / (||M||_2 ||q||) of a kept state
 ENERGY_TOL = 1e-8  # relative gap between closed-form energy and <x|H|x>
-
-_SNAP_FLOOR = 1e-11  # Bethe residual a real-axis snap may always reach
 
 
 class StrangeRootsError(ValueError):
@@ -68,9 +67,6 @@ class RootSet:
     @property
     def ell(self) -> int:
         return len(self.roots)
-
-    def is_singular(self) -> bool:
-        return singular_partners(self.roots) is not None
 
 
 # Settings of the former random multi-start, which the solver no longer
@@ -108,36 +104,6 @@ def _has_duplicates(roots, tol: float) -> bool:
     return any(
         abs(a - b) <= tol for a, b in itertools.combinations(roots, 2)
     )
-
-
-def multiset_eq(a, b, tol: float) -> bool:
-    """Whether two root multisets coincide within ``tol`` per root.
-
-    True when the roots of ``a`` can be paired one-to-one with those of
-    ``b`` so that every pair lies within ``tol``: a perfect matching in
-    the bipartite graph of in-tolerance pairs.  The matching is built by
-    backtracking along augmenting paths, so a root whose partners are
-    all taken may move an earlier root onto another partner.  This is
-    the exact min-over-permutations test in O(ell^3) rather than ell!
-    steps.
-    """
-    a = [complex(z) for z in a]
-    b = [complex(z) for z in b]
-    if len(a) != len(b):
-        return False
-    near = [[j for j, y in enumerate(b) if abs(x - y) <= tol] for x in a]
-    owner = [-1] * len(b)  # owner[j]: index in ``a`` matched to b[j]
-
-    def place(i: int, seen: set[int]) -> bool:
-        for j in near[i]:
-            if j not in seen:
-                seen.add(j)
-                if owner[j] < 0 or place(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return all(place(i, set()) for i in range(len(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +230,12 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
     least-squares problem; ``lam_coeffs`` are the coefficients of Lambda,
     lowest first.  The residual is ||M q|| / (||M||_2 ||q||): about 1e-14
     for a true eigenvalue, and above 1e-8 once Lambda is off by 1e-6.
+
+    A self-conjugate root set has a Lambda with real coefficients, so M
+    is real up to rounding.  Q is then solved in real arithmetic: its
+    real roots come out with imaginary part exactly 0 and its complex
+    roots in exact conjugate pairs.  The residual is always taken
+    against the full complex M.
     """
     poly = np.polynomial.polynomial
     plus = poly.polypow([0.5j, 1.0], n)
@@ -279,62 +251,10 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
             ),
         )
         cols[: len(term), k] = term
-    q = np.append(np.linalg.lstsq(cols[:, :ell], -cols[:, ell], rcond=None)[0], 1.0)
+    m = cols.real if np.abs(cols.imag).max() <= TQ_TOL * np.abs(cols).max() else cols
+    q = np.append(np.linalg.lstsq(m[:, :ell], -m[:, ell], rcond=None)[0], 1.0)
     residual = np.linalg.norm(cols @ q) / (np.linalg.norm(cols, 2) * np.linalg.norm(q))
     return np.roots(q[::-1]), float(residual)
-
-
-def _snap_real_axis(roots, n: int, reduced: bool):
-    """Zero out float-noise imaginary parts when that keeps the residual."""
-    snapped = tuple(
-        complex(z.real, 0.0) if abs(z.imag) < 1e-11 else z for z in roots
-    )
-    if snapped == tuple(roots) or not snapped:
-        return tuple(roots)
-    before = float(_residuals(np.array([roots], dtype=complex), n, reduced)[0])
-    after = float(_residuals(np.array([snapped], dtype=complex), n, reduced)[0])
-    if after <= max(_SNAP_FLOOR, 2.0 * before):
-        return snapped
-    return tuple(roots)
-
-
-class _SumIndex:
-    """Kept root sets, searchable by the key ``Re(sum of roots)``.
-
-    If ``multiset_eq(a, b, tol)`` holds then ``|Re sum a - Re sum b| <=
-    ell * tol``, so a candidate is compared only with the kept sets whose
-    key lies in that window (widened by a float-rounding slack), found by
-    bisection in the sorted keys.  Candidates are tried in insertion
-    order, so the answers equal a scan over every kept set.
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.roots: list[tuple[complex, ...]] = []  # in insertion order
-        self._keys: list[float] = []  # sorted
-        self._ids: list[int] = []  # entry of each sorted key
-
-    @staticmethod
-    def _key(roots) -> float:
-        return sum(complex(z).real for z in roots)
-
-    def add(self, roots) -> None:
-        self.roots.append(roots)
-        key = self._key(roots)
-        pos = bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self._ids.insert(pos, len(self.roots) - 1)
-
-    def first_match(self, roots) -> int | None:
-        """Earliest kept entry equal to ``roots`` as a multiset, if any."""
-        key = self._key(roots)
-        width = len(roots) * self.tol + 1e-9 * (1.0 + sum(abs(z) for z in roots))
-        lo = bisect_left(self._keys, key - width)
-        hi = bisect_right(self._keys, key + width)
-        for k in sorted(self._ids[lo:hi]):
-            if multiset_eq(roots, self.roots[k], self.tol):
-                return k
-        return None
 
 
 # ``cfg`` is unused; kept because benchmark/spans.py binds args["cfg"]
@@ -347,11 +267,14 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     and its other roots may not collide with it.  A state is kept when
     the relative TQ residual of its Q is at most ``TQ_TOL``, when it
     classifies as regular or physical singular, and when its closed-form
-    energy (``energy_regular`` or ``energy_nw``) equals <x|H|x> on the
-    sector Hamiltonian within ``ENERGY_TOL`` * max(1, |E|).  A state
-    that fails, or that repeats a kept set, is dropped, so it shows up
-    as a count shortfall in the caller's audit against the rigged
-    configuration census.  ``residual`` is the TQ residual.
+    energy (``energy.energy_of``) equals <x|H|x> on the sector
+    Hamiltonian within ``ENERGY_TOL`` * max(1, |E|).  A state
+    that fails is dropped, so it shows up as a count shortfall in the
+    caller's audit against the rigged configuration census; no check
+    looks for repeated sets, because two highest-weight states never
+    share one Lambda (Mukhin, Tarasov & Varchenko).  The roots are
+    exactly real or come in exact conjugate pairs whenever Lambda is
+    real (see ``_tq_roots``).  ``residual`` is the TQ residual.
     """
     from . import abba, energy, hilbert
 
@@ -366,34 +289,25 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
         np.abs(states) ** 2
     ).sum(axis=0)
 
-    kept = _SumIndex(DEDUP_TOL)
     out = []
     for coeffs, e_state in zip(lam_coeffs, rayleigh):
         roots, tq_residual = _tq_roots(coeffs, n, ell)
         if not tq_residual <= TQ_TOL:
             continue
         others = singular_partners(roots)
-        if others is None:
-            roots = _snap_real_axis(canonical_roots(roots), n, reduced=False)
-        else:
-            extra = _snap_real_axis(canonical_roots(others), n, reduced=True)
+        if others is not None:
             # extra roots may not collide with the fixed pair
-            if any(min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR for z in extra):
+            if any(min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR for z in others):
                 continue
-            roots = (0.5j, -0.5j, *extra)
+            roots = (0.5j, -0.5j, *others)
         rs = classify(RootSet(n, canonical_roots(roots), residual=tq_residual))
-        if rs.classification == REGULAR:
-            e = energy.energy_regular(rs)
-        elif rs.classification == PHYSICAL_SINGULAR:
-            e = energy.energy_nw(rs)
-        else:
+        if rs.classification not in (REGULAR, PHYSICAL_SINGULAR):
             continue
+        e = energy.energy_of(rs)
         gap = abs(complex(e.energy - e_state, e.imag_leak))
         if gap > ENERGY_TOL * max(1.0, abs(e.energy)):
             continue
-        if kept.first_match(rs.roots) is None:
-            kept.add(rs.roots)
-            out.append(rs)
+        out.append(rs)
 
     out.sort(
         key=lambda rs: tuple(

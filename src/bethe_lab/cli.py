@@ -10,8 +10,9 @@ and never builds the dense 2^n x 2^n Hamiltonian.  ``run`` exits 0 when
 every audit passes, 2 on a solver count shortfall, and 3 on a
 spectral-closure failure.  Bad input (a chain length outside the cap, a
 magnon number above n/2, a malformed ``BETHE_LAB_MAX_N``, a magnon
-sector larger than ``hilbert.SECTOR_DIM_CAP``) prints one
-``bethe-lab: error:`` line and exits 1.
+sector larger than ``hilbert.SECTOR_DIM_CAP``, a ``plot --in`` file that
+cannot be read or is not a report) prints one ``bethe-lab: error:`` line
+and exits 1.
 """
 
 from __future__ import annotations
@@ -75,9 +76,14 @@ def _cmd_rc(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    with open(args.infile) as fh:
-        data = json.load(fh)
-    rootsets = pipeline.rootsets_from_report(data)
+    try:
+        with open(args.infile) as fh:
+            data = json.load(fh)
+        rootsets = pipeline.rootsets_from_report(data)
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.infile}: {exc.strerror}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{args.infile} is not a bethe-lab report: {exc}") from exc
     written = plots.plot_roots(rootsets, args.out)
     for path in written:
         print(f"wrote {path}")

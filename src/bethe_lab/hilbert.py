@@ -19,9 +19,6 @@ import numpy as np
 DEFAULT_MAX_N = 14
 SECTOR_DIM_CAP = 10_000
 
-# provenance tags for spectrum entries
-EXACT_DIAG = "exact_diag"
-PHYSICAL_SINGULAR = "physical_singular"
 
 class NonHermitianError(ValueError):
     """Matrix handed to the Hermitian eigensolver is not Hermitian."""
@@ -182,20 +179,13 @@ class SpectrumEntry:
 
     energy: float
     multiplicity: int
-    sector: int | str = "diag"
-    source: str = EXACT_DIAG
 
 
 def default_merge_tol(eigs: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.abs(eigs).max()) if len(eigs) else 1.0)
 
 
-def spectrum_with_multiplicities(
-    eigs,
-    merge_tol: float | None = None,
-    sector: int | str = "diag",
-    source: str = EXACT_DIAG,
-) -> list[SpectrumEntry]:
+def spectrum_with_multiplicities(eigs, merge_tol: float | None = None) -> list[SpectrumEntry]:
     """Merge an ascending eigenvalue list into (energy, multiplicity) entries."""
     eigs = np.asarray(eigs, dtype=float)
     if len(eigs) == 0:
@@ -213,7 +203,7 @@ def spectrum_with_multiplicities(
             # the E = 0 level is eigensolver noise of either sign; store it exactly
             if abs(level) <= merge_tol:
                 level = 0.0
-            entries.append(SpectrumEntry(level, len(cluster), sector, source))
+            entries.append(SpectrumEntry(level, len(cluster)))
             start = i
     assert sum(e.multiplicity for e in entries) == len(eigs)
     return entries

@@ -112,12 +112,8 @@ def _sector_report(n: int, ell: int) -> SectorReport:
     mult = n - 2 * ell + 1
     records: list[SolutionRecord] = []
     for rs in baesolver.solve_sector(n, ell):
-        if rs.classification == baesolver.REGULAR:
-            records.append(SolutionRecord(rs, energy.energy_regular(rs), mult))
-        else:
-            records.append(
-                SolutionRecord(rs, energy.energy_nw(rs), mult, _nw_details(rs))
-            )
+        details = None if rs.classification == baesolver.REGULAR else _nw_details(rs)
+        records.append(SolutionRecord(rs, energy.energy_of(rs), mult, details))
     rcs = rigged.enumerate_rcs(n, ell)
     pairing = None
     if 1 <= ell <= 2:

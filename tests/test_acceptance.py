@@ -14,6 +14,7 @@ from bethe_lab import abba, baesolver as bs, energy, hilbert, pipeline, rigged
 from bethe_lab.baesolver import RootSet
 
 import dense_ops
+from multiset import multiset_eq
 
 SQ12 = 1 / math.sqrt(12)
 
@@ -24,7 +25,7 @@ def _pass(num: int, msg: str) -> None:
 
 def _find(solutions, roots, tol):
     for s in solutions:
-        if len(s.roots) == len(roots) and bs.multiset_eq(s.roots, roots, tol):
+        if len(s.roots) == len(roots) and multiset_eq(s.roots, roots, tol):
             return s
     raise AssertionError(f"no solution matching {roots} within {tol}")
 

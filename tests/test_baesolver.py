@@ -7,6 +7,7 @@ import pytest
 from bethe_lab import abba, baesolver as bs
 
 import mp_newton
+from multiset import multiset_eq
 
 SQ12 = 1 / math.sqrt(12)
 
@@ -37,7 +38,7 @@ N6_ELL3 = [
 
 def find(solutions, roots, tol=1e-5):
     for s in solutions:
-        if len(s.roots) == len(roots) and bs.multiset_eq(s.roots, roots, tol):
+        if len(s.roots) == len(roots) and multiset_eq(s.roots, roots, tol):
             return s
     return None
 
@@ -215,7 +216,30 @@ def test_solved_sectors_are_conjugation_closed(solved):
     for n, ell in ((4, 2), (6, 2), (6, 3), (8, 3)):
         for s in solved(n, ell):
             conj = [z.conjugate() for z in s.roots]
-            assert bs.multiset_eq(s.roots, conj, 1e-7), s
+            assert multiset_eq(s.roots, conj, 1e-7), s
+
+
+def test_roots_exactly_conjugation_closed(solved):
+    # every set up to n = 10 has a real Lambda, so its Q is solved in real
+    # arithmetic: real roots carry imaginary part exactly 0, and complex
+    # roots come in exact conjugate pairs
+    for n in range(2, 11):
+        for ell in range(1, n // 2 + 1):
+            for s in solved(n, ell):
+                assert multiset_eq(s.roots, [z.conjugate() for z in s.roots], 0.0), s
+                assert not any(0.0 < abs(z.imag) < 1e-9 for z in s.roots), s
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_split_point_separates_every_lambda(n):
+    # one state per t(u*) eigenvector relies on t(u*) having simple
+    # spectrum on each highest-weight sector; with a repeated eigenvalue
+    # the eigenvectors would mix and both states fail the TQ check
+    for ell in range(1, n // 2 + 1):
+        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell)
+        w = lam_coeffs @ abba._SPLIT_POINT ** np.arange(n + 1)
+        gaps = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
+        assert gaps.min() > 1e-6 * np.abs(w).max(), (ell, gaps.min())
 
 
 def test_no_duplicate_solutions_as_multisets(solved):
@@ -223,7 +247,7 @@ def test_no_duplicate_solutions_as_multisets(solved):
         sols = [s.roots for s in solved(n, ell)]
         for i, a in enumerate(sols):
             for b in sols[i + 1 :]:
-                assert not bs.multiset_eq(a, b, 1e-7)
+                assert not multiset_eq(a, b, 1e-7)
 
 
 def test_converged_residuals_within_tolerance(solved):
@@ -293,7 +317,7 @@ def test_energy_check_drops_swapped_eigenvectors(n, ell, solved, monkeypatch):
     full = solved(n, ell)
     assert len(kept) == len(full) - 2
     for s in full:
-        gone = any(bs.multiset_eq(s.roots, roots, 1e-6) for roots in dropped)
+        gone = any(multiset_eq(s.roots, roots, 1e-6) for roots in dropped)
         assert (s in kept) != gone, s
 
 
@@ -327,34 +351,34 @@ def test_solve_sector_rejects_oversized_ell():
 def test_multiset_eq_handles_conjugate_ordering():
     a = (0.5 + 0.3j, 0.5 - 0.3j)
     b = (0.5 - 0.3j, 0.5 + 0.3j)
-    assert bs.multiset_eq(a, b, 1e-12)
-    assert not bs.multiset_eq(a, (0.5 + 0.3j, 0.4 - 0.3j), 1e-6)
+    assert multiset_eq(a, b, 1e-12)
+    assert not multiset_eq(a, (0.5 + 0.3j, 0.4 - 0.3j), 1e-6)
 
 
 def test_multiset_eq_backtracks_over_repeated_roots():
     # the first in-tolerance partner of 8e-4 is the first 0.0, but only
     # 1.5e-3 can take 8e-4, so the match must move it there
     tol = 1e-3
-    assert bs.multiset_eq((8e-4, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
-    assert bs.multiset_eq((0.0, 0.0, 1.5e-3), (8e-4, 0.0, 0.0), tol)
-    assert not bs.multiset_eq((0.0, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
+    assert multiset_eq((8e-4, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
+    assert multiset_eq((0.0, 0.0, 1.5e-3), (8e-4, 0.0, 0.0), tol)
+    assert not multiset_eq((0.0, 0.0, 0.0), (0.0, 0.0, 1.5e-3), tol)
     # a set with repeated roots matches itself in any order, not with
     # one root swapped
     repeated = (0.3 + 0.5j, 0.3 + 0.5j, 0.3 - 0.5j, 0.3 - 0.5j)
-    assert bs.multiset_eq(repeated, (0.3 - 0.5j, 0.3 + 0.5j) * 2, 1e-12)
-    assert not bs.multiset_eq(repeated, (0.3 + 0.5j,) * 3 + (0.3 - 0.5j,), 1e-3)
+    assert multiset_eq(repeated, (0.3 - 0.5j, 0.3 + 0.5j) * 2, 1e-12)
+    assert not multiset_eq(repeated, (0.3 + 0.5j,) * 3 + (0.3 - 0.5j,), 1e-3)
 
 
 def test_multiset_eq_edge_cases():
-    assert bs.multiset_eq((), (), 1e-7)
-    assert not bs.multiset_eq((), (0.0,), 1e-7)
-    assert not bs.multiset_eq((0.1, 0.2), (0.1, 0.2, 0.3), 1e-7)
-    assert not bs.multiset_eq((0.1, 0.2, 0.3), (0.1, 0.2), 1e-7)
+    assert multiset_eq((), (), 1e-7)
+    assert not multiset_eq((), (0.0,), 1e-7)
+    assert not multiset_eq((0.1, 0.2), (0.1, 0.2, 0.3), 1e-7)
+    assert not multiset_eq((0.1, 0.2, 0.3), (0.1, 0.2), 1e-7)
     # exact tolerance boundaries: |x - y| <= tol is inclusive
-    assert bs.multiset_eq((0.5,), (0.75,), 0.25)
-    assert not bs.multiset_eq((0.5,), (0.75,), np.nextafter(0.25, 0.0))
-    assert bs.multiset_eq((0j, 10.0), (10.0, 3 + 4j), 5.0)
-    assert not bs.multiset_eq((0j, 10.0), (10.0, 3 + 4j), np.nextafter(5.0, 0.0))
+    assert multiset_eq((0.5,), (0.75,), 0.25)
+    assert not multiset_eq((0.5,), (0.75,), np.nextafter(0.25, 0.0))
+    assert multiset_eq((0j, 10.0), (10.0, 3 + 4j), 5.0)
+    assert not multiset_eq((0j, 10.0), (10.0, 3 + 4j), np.nextafter(5.0, 0.0))
 
 
 def _min_over_permutations(a, b):
@@ -371,77 +395,7 @@ def test_multiset_eq_matches_min_over_permutations():
         b = [a[k] + complex(*rng.normal(scale=1e-3, size=2)) for k in rng.permutation(ell)]
         best = _min_over_permutations(a, b)
         for tol in (best, np.nextafter(best, 0.0), 0.5 * best, 2.0 * best):
-            assert bs.multiset_eq(a, b, tol) == (best <= tol), (a, b, tol)
-
-
-# ---------------------------------------------------------------------------
-# candidate dedup: the root-sum index against O(K^2) brute force
-# ---------------------------------------------------------------------------
-
-
-def _ref_dedup(cands, tol):
-    kept = []
-    for roots in cands:
-        if not any(bs.multiset_eq(roots, prev, tol) for prev in kept):
-            kept.append(roots)
-    return kept
-
-
-def _ref_first_match(kept, roots, tol):
-    return next((k for k, prev in enumerate(kept) if bs.multiset_eq(roots, prev, tol)), None)
-
-
-def _candidates(seed, tol, count=300, ell=4):
-    """Near-duplicate-rich root-set lists for the dedup index test.
-
-    Half the base sets are parity symmetric ({x, -x, iy, -iy}), so their
-    root sums are all 0.  Variants of a base are exact copies, copies
-    with every root moved 0.9 tol (inside) or one root moved 1.1 tol
-    (outside), and chains that step every root 0.9 tol to the right, so
-    that each link matches its predecessor but not the one before.
-    """
-    rng = np.random.default_rng(seed)
-    bases = []
-    for k in range(40):
-        if k % 2:
-            x, y = rng.uniform(0.1, 2.0, size=2)
-            bases.append([x, -x, 1j * y, -1j * y])
-        else:
-            bases.append(list(rng.uniform(-2, 2, size=ell) + 1j * rng.uniform(-1, 1, size=ell)))
-    chains = [0] * len(bases)
-    cands = []
-    for _ in range(count):
-        b = int(rng.integers(len(bases)))
-        roots = [complex(z) for z in bases[b]]
-        kind = rng.integers(4)
-        if kind == 1:
-            roots = [z + 0.9 * tol * np.exp(2j * np.pi * rng.uniform()) for z in roots]
-        elif kind == 2:
-            roots[int(rng.integers(ell))] += 1.1 * tol * np.exp(2j * np.pi * rng.uniform())
-        elif kind == 3:
-            chains[b] += 1
-            roots = [z + 0.9 * tol * chains[b] for z in roots]
-        cands.append(bs.canonical_roots(rng.permutation(roots)))
-    return cands
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("tol", [1e-7, 1e-3])
-def test_dedup_index_matches_brute_force(seed, tol):
-    # the solver's distinctness guard: keep a set unless the index holds it
-    cands = _candidates(seed, tol)
-    index = bs._SumIndex(tol)
-    matched_earlier = 0
-    for roots in cands:
-        k = index.first_match(roots)
-        assert k == _ref_first_match(index.roots, roots, tol), roots
-        if k is None:
-            index.add(roots)
-        elif k < len(index.roots) - 1:
-            matched_earlier += 1
-    assert index.roots == _ref_dedup(cands, tol)
-    assert len(index.roots) < len(cands)
-    assert matched_earlier  # matches are not only with the newest entry
+            assert multiset_eq(a, b, tol) == (best <= tol), (a, b, tol)
 
 
 # ---------------------------------------------------------------------------

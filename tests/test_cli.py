@@ -98,10 +98,13 @@ def test_solve_subcommand_reports_shortfall(capsys, monkeypatch):
         ({"BETHE_LAB_MAX_N": "abc"}, ["run", "--n", "4"]),
         ({}, ["diag", "--n", "40"]),
         ({}, ["solve", "--n", "6", "--ell", "4"]),
+        ({}, ["plot", "--in", "missing.json", "--out", "roots"]),
+        ({}, ["plot", "--in", "no_sectors.json", "--out", "roots"]),
     ],
 )
 def test_bad_input_is_one_line_error(env, argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # run would write report.json here
+    (tmp_path / "no_sectors.json").write_text('{"n": 4}')  # JSON, but not a report
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert cli.main(argv) == 1
