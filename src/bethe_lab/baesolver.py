@@ -25,10 +25,11 @@ regular and physical singular solutions.  Each state is certified in
 float64 by two checks that do not cancel: the relative TQ residual of
 its Q, and the agreement of the closed-form energy of its roots with
 <x|H|x> of its own transfer-matrix eigenvector x.  These two checks
-are the only filter: roots are neither snapped nor deduplicated.  When
-Lambda is real, Q is solved in real arithmetic, so its roots are exactly
-real or exact conjugate pairs.  The residual system above is kept as an
-independent score of a root set (``bae_residual``).
+are the only filter: roots are neither snapped nor deduplicated.  Q is
+solved in real arithmetic, so its roots are exactly real or exact
+conjugate pairs, and a state whose Lambda is not real fails the TQ
+check.  The residual system above is kept as an independent score of a
+root set (``bae_residual``).
 """
 
 from __future__ import annotations
@@ -231,11 +232,11 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
     lowest first.  The residual is ||M q|| / (||M||_2 ||q||): about 1e-14
     for a true eigenvalue, and above 1e-8 once Lambda is off by 1e-6.
 
-    A self-conjugate root set has a Lambda with real coefficients, so M
-    is real up to rounding.  Q is then solved in real arithmetic: its
-    real roots come out with imaginary part exactly 0 and its complex
-    roots in exact conjugate pairs.  The residual is always taken
-    against the full complex M.
+    Q is solved with the real part of M, so its real roots come out
+    with imaginary part exactly 0 and its complex roots in exact
+    conjugate pairs.  A root set is self-conjugate exactly when Lambda
+    has real coefficients; the residual is taken against the full
+    complex M, so a Lambda that is not real fails it.
     """
     poly = np.polynomial.polynomial
     plus = poly.polypow([0.5j, 1.0], n)
@@ -251,7 +252,7 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
             ),
         )
         cols[: len(term), k] = term
-    m = cols.real if np.abs(cols.imag).max() <= TQ_TOL * np.abs(cols).max() else cols
+    m = cols.real
     q = np.append(np.linalg.lstsq(m[:, :ell], -m[:, ell], rcond=None)[0], 1.0)
     residual = np.linalg.norm(cols @ q) / (np.linalg.norm(cols, 2) * np.linalg.norm(q))
     return np.roots(q[::-1]), float(residual)
@@ -273,8 +274,9 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     caller's audit against the rigged configuration census; no check
     looks for repeated sets, because two highest-weight states never
     share one Lambda (Mukhin, Tarasov & Varchenko).  The roots are
-    exactly real or come in exact conjugate pairs whenever Lambda is
-    real (see ``_tq_roots``).  ``residual`` is the TQ residual.
+    exactly real or come in exact conjugate pairs, and a state whose
+    Lambda is not real is dropped (see ``_tq_roots``).  ``residual`` is
+    the TQ residual.
     """
     from . import abba, energy, hilbert
 
