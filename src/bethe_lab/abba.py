@@ -29,10 +29,6 @@ import numpy as np
 from . import hilbert
 from .baesolver import RootSet, TOL_EQUAL, TOL_SINGULAR, singular_partners
 
-C1_SCHEME = "c1"
-C2_SCHEME = "c2"
-NAIVE_SCHEME = "naive"
-
 # eigen-residual below which the eps^n coefficient of the regularized
 # product is an eigenvector: ~1e-12 for physical singular solutions,
 # O(0.1) for non-physical ones
@@ -53,7 +49,6 @@ class RegularizationParams:
 
     epsilon: float
     c: complex
-    scheme: str = C1_SCHEME
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 0.1:
@@ -147,14 +142,14 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
     return lam.T, basis @ vecs
 
 
-def _check_regular_roots(roots, tol_equal=TOL_EQUAL, tol_singular=TOL_SINGULAR):
+def _check_regular_roots(roots):
     roots = [complex(z) for z in roots]
     for i, zi in enumerate(roots):
         for zj in roots[i + 1 :]:
-            if abs(zi - zj) <= tol_equal:
+            if abs(zi - zj) <= TOL_EQUAL:
                 raise ValueError(f"coinciding rapidities {zi} and {zj}")
     for z in roots:
-        if min(abs(z - 0.5j), abs(z + 0.5j)) <= tol_singular:
+        if min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR:
             raise SingularRootError(
                 "rapidity at +/- i/2; build the state with regularized_nw_vector"
             )
@@ -219,28 +214,23 @@ def regularized_nw_vector(rootset: RootSet, params: RegularizationParams) -> np.
 
 @dataclass
 class RegularizationSweep:
-    """The regularized vector along an epsilon ladder, and its exact limit.
+    """Eigenvector residuals of the regularized vector along an epsilon ladder.
 
-    ``residuals`` are the per-rung values ||H psi - E psi|| / ||psi||;
-    they shrink linearly in epsilon when the limit is an eigenvector.
-    ``limit_vector`` is the normalized eps^n coefficient of the product,
-    which is the eps -> 0 limit itself; ``converged`` states that its
-    residual ``limit_residual`` is at most ``LIMIT_TOL``.
+    ``residuals`` are the per-rung values ||H psi - E psi|| / ||psi||,
+    one per ladder epsilon; they shrink linearly in epsilon when the
+    limit is an eigenvector.  ``limit_residual`` is the same residual of
+    the eps^n coefficient of the product, which is the eps -> 0 limit
+    itself, and ``converged`` states that it is at most ``LIMIT_TOL``.
     """
 
-    scheme: str
-    epsilons: tuple[float, ...]
     residuals: tuple[float, ...]
     limit_residual: float
     converged: bool
-    vectors: list[np.ndarray]
-    limit_vector: np.ndarray
 
 
 def regularization_sweep(
     rootset: RootSet,
     c: complex,
-    scheme: str = C1_SCHEME,
     ladder: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
     energy: float | None = None,
 ) -> RegularizationSweep:
@@ -255,33 +245,21 @@ def regularization_sweep(
     basis = hilbert.sector_basis(n, rootset.ell)
     h = hilbert.sector_hamiltonian(n, rootset.ell)
 
-    def unit_and_residual(psi: np.ndarray):
+    def residual(psi: np.ndarray) -> float:
         norm = np.linalg.norm(psi)
         if norm == 0:
-            return psi, float("inf")
-        psi = psi / norm
-        v = psi[basis]
+            return float("inf")
+        v = psi[basis] / norm
         e = energy if energy is not None else float(np.real(v.conj() @ (h @ v)))
-        return psi, float(np.linalg.norm(h @ v - e * v))
+        return float(np.linalg.norm(h @ v - e * v))
 
     series = _nw_series(rootset, complex(c))
-    vectors: list[np.ndarray] = []
-    residuals: list[float] = []
+    residuals = []
     for eps in ladder:
-        params = RegularizationParams(eps, complex(c), scheme)
-        psi, res = unit_and_residual(_nw_at(series, n, params.epsilon))
-        vectors.append(psi)
-        residuals.append(res)
-    limit_vector, limit_residual = unit_and_residual(series[:, n])
-    return RegularizationSweep(
-        scheme,
-        tuple(ladder),
-        tuple(residuals),
-        limit_residual,
-        limit_residual <= LIMIT_TOL,
-        vectors,
-        limit_vector,
-    )
+        params = RegularizationParams(eps, complex(c))  # rejects eps outside (0, 0.1]
+        residuals.append(residual(_nw_at(series, n, params.epsilon)))
+    limit_residual = residual(series[:, n])
+    return RegularizationSweep(tuple(residuals), limit_residual, limit_residual <= LIMIT_TOL)
 
 
 def transfer_eigenvalue(lam: complex, roots, n: int | None = None) -> complex:

@@ -40,6 +40,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import hilbert
+
 REGULAR = "regular"
 PHYSICAL_SINGULAR = "physical_singular"
 NONPHYSICAL_SINGULAR = "nonphysical_singular"
@@ -89,11 +91,11 @@ def canonical_roots(roots) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in roots), key=key))
 
 
-def singular_partners(roots, tol: float = TOL_SINGULAR):
+def singular_partners(roots):
     """If the set contains the pair {i/2, -i/2}, return the other roots."""
     roots = [complex(z) for z in roots]
-    i_up = [k for k, z in enumerate(roots) if abs(z - 0.5j) <= tol]
-    i_dn = [k for k, z in enumerate(roots) if abs(z + 0.5j) <= tol]
+    i_up = [k for k, z in enumerate(roots) if abs(z - 0.5j) <= TOL_SINGULAR]
+    i_dn = [k for k, z in enumerate(roots) if abs(z + 0.5j) <= TOL_SINGULAR]
     if not i_up or not i_dn:
         return None
     drop = {i_up[0], i_dn[0]}
@@ -153,7 +155,7 @@ def _residuals(lam: np.ndarray, n: int, reduced: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bae_residual(roots, n: int, tol_equal: float = TOL_EQUAL) -> float:
+def bae_residual(roots, n: int) -> float:
     """Relative residual of the Bethe equations in pole-free form.
 
     Root sets containing the singular pair {i/2, -i/2} are scored with
@@ -161,8 +163,8 @@ def bae_residual(roots, n: int, tol_equal: float = TOL_EQUAL) -> float:
     exact factor there).
     """
     roots = [complex(z) for z in roots]
-    if _has_duplicates(roots, tol_equal):
-        raise StrangeRootsError(f"coinciding roots within {tol_equal}: {roots}")
+    if _has_duplicates(roots, TOL_EQUAL):
+        raise StrangeRootsError(f"coinciding roots within {TOL_EQUAL}: {roots}")
     if not roots:
         return 0.0
     others = singular_partners(roots)
@@ -175,7 +177,7 @@ def bae_residual(roots, n: int, tol_equal: float = TOL_EQUAL) -> float:
     return float(_residuals(lam, n, reduced=False)[0])
 
 
-def nw_constants(roots: RootSet | tuple, n: int | None = None) -> tuple[complex, complex]:
+def nw_constants(rootset: RootSet) -> tuple[complex, complex]:
     """The two Nepomechie-Wang regularization constants of a singular set.
 
     c1 = -(2 / i^(n+1)) prod_{j>=3} (L_j - 3i/2)/(L_j + i/2)
@@ -183,14 +185,8 @@ def nw_constants(roots: RootSet | tuple, n: int | None = None) -> tuple[complex,
 
     Their equality is the physicality criterion.
     """
-    if isinstance(roots, RootSet):
-        n = roots.n
-        root_vals = roots.roots
-    else:
-        if n is None:
-            raise ValueError("n required when passing a bare root sequence")
-        root_vals = roots
-    others = singular_partners(root_vals)
+    n = rootset.n
+    others = singular_partners(rootset.roots)
     if others is None:
         raise ValueError("root set does not contain the singular pair {i/2, -i/2}")
     for z in others:
@@ -278,7 +274,8 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     Lambda is not real is dropped (see ``_tq_roots``).  ``residual`` is
     the TQ residual.
     """
-    from . import abba, energy, hilbert
+    # local: abba and energy import this module at their top
+    from . import abba, energy
 
     if not 0 <= 2 * ell <= n:
         raise ValueError(f"need 0 <= ell <= n/2, got ell={ell}, n={n}")
@@ -321,6 +318,4 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
 
 def sector_target_count(n: int, ell: int) -> int:
     """Highest-weight state count C(n,ell) - C(n,ell-1) the solver aims for."""
-    from .hilbert import binomial
-
-    return binomial(n, ell) - binomial(n, ell - 1)
+    return hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)

@@ -14,28 +14,27 @@ and both are cross-checked here against the independent route
     E = (J/2) (i d/dL log Lambda(L)|_{L=i/2} - n)
 
 with the derivative taken by central differences of the transfer-matrix
-eigenvalue, extrapolated in epsilon for the singular case.
+eigenvalue, extrapolated in epsilon for the singular case.  There is no
+coupling parameter: every energy is in units of J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abba import (
-    C1_SCHEME,
-    C2_SCHEME,
-    NAIVE_SCHEME,
-    RegularizationParams,
-    perturbed_singular_roots,
-    transfer_eigenvalue,
-)
-from .baesolver import RootSet, nw_constants, singular_partners
+from .abba import RegularizationParams, perturbed_singular_roots, transfer_eigenvalue
+from .baesolver import PHYSICAL_SINGULAR, REGULAR, RootSet, nw_constants, singular_partners
 
 REGULAR_FORMULA = "regular_formula"
 NW_THEOREM = "nw_theorem"
 LAMBDA_LOGDERIV = "lambda_logderiv"
 
 IMAG_LEAK_TOL = 1e-8
+
+# epsilons at which a singular set is regularized before extrapolation,
+# and the central-difference step of the log-derivative
+_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
+_H = 1e-6
 
 
 class DegenerateDenominatorError(ZeroDivisionError):
@@ -57,17 +56,17 @@ def _pack(value: complex, method: str) -> EnergyResult:
     return EnergyResult(float(value.real) + 0.0, method, abs(value.imag))
 
 
-def energy_regular(rootset: RootSet, j: float = 1.0) -> EnergyResult:
+def energy_regular(rootset: RootSet) -> EnergyResult:
     """Closed-form energy of a regular solution, in units of J."""
     if singular_partners(rootset.roots) is not None:
         raise ValueError("singular root set; use energy_nw")
     total = 0j
     for z in rootset.roots:
         total += 1.0 / (complex(z) ** 2 + 0.25)
-    return _pack(-(j / 2.0) * total, REGULAR_FORMULA)
+    return _pack(-0.5 * total, REGULAR_FORMULA)
 
 
-def energy_nw(rootset: RootSet, j: float = 1.0) -> EnergyResult:
+def energy_nw(rootset: RootSet) -> EnergyResult:
     """Finite energy of a regularized singular solution, in units of J."""
     others = singular_partners(rootset.roots)
     if others is None:
@@ -75,21 +74,19 @@ def energy_nw(rootset: RootSet, j: float = 1.0) -> EnergyResult:
     total = 0j
     for z in others:
         total += 1.0 / (complex(z) ** 2 + 0.25)
-    return _pack(-j - (j / 2.0) * total, NW_THEOREM)
+    return _pack(-1.0 - 0.5 * total, NW_THEOREM)
 
 
-def energy_of(rootset: RootSet, j: float = 1.0) -> EnergyResult:
+def energy_of(rootset: RootSet) -> EnergyResult:
     """Dispatch on the classification tag."""
-    from .baesolver import PHYSICAL_SINGULAR, REGULAR
-
     if rootset.classification == REGULAR:
-        return energy_regular(rootset, j)
+        return energy_regular(rootset)
     if rootset.classification == PHYSICAL_SINGULAR:
-        return energy_nw(rootset, j)
+        return energy_nw(rootset)
     raise ValueError(f"no energy defined for classification {rootset.classification!r}")
 
 
-def _logderiv_value(roots, n: int, j: float, h: float) -> complex:
+def _logderiv_value(roots, n: int) -> complex:
     lam0 = 0.5j
     lam_val = transfer_eigenvalue(lam0, roots, n)
     if abs(lam_val) < 1e-100:
@@ -97,47 +94,30 @@ def _logderiv_value(roots, n: int, j: float, h: float) -> complex:
             "transfer eigenvalue vanishes at i/2; cannot form the log-derivative"
         )
     deriv = (
-        transfer_eigenvalue(lam0 + h, roots, n)
-        - transfer_eigenvalue(lam0 - h, roots, n)
-    ) / (2.0 * h)
-    return (j / 2.0) * (1j * deriv / lam_val - n)
+        transfer_eigenvalue(lam0 + _H, roots, n)
+        - transfer_eigenvalue(lam0 - _H, roots, n)
+    ) / (2.0 * _H)
+    return 0.5 * (1j * deriv / lam_val - n)
 
 
-def _scheme_constant(rootset: RootSet, scheme: str) -> complex:
-    if scheme == NAIVE_SCHEME:
-        return 0j
-    c1, c2 = nw_constants(rootset)
-    if scheme == C1_SCHEME:
-        return c1
-    if scheme == C2_SCHEME:
-        return c2
-    raise ValueError(f"unknown regularization scheme {scheme!r}")
-
-
-def energy_logderiv(
-    rootset: RootSet,
-    j: float = 1.0,
-    eps_ladder: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
-    scheme: str = C1_SCHEME,
-    h: float = 1e-6,
-) -> EnergyResult:
+def energy_logderiv(rootset: RootSet, c: complex | None = None) -> EnergyResult:
     """Energy via the log-derivative of the transfer eigenvalue at i/2.
 
     Regular sets are evaluated directly; singular ones are evaluated on
-    the regularized roots for each epsilon of the ladder and Richardson
+    the roots regularized with the constant ``c`` (default: c1 of
+    ``nw_constants``) for each epsilon of the ladder and Richardson
     extrapolated (first order) from the two smallest epsilons.
     """
     n = rootset.n
     others = singular_partners(rootset.roots)
     if others is None:
-        return _pack(_logderiv_value(rootset.roots, n, j, h), LAMBDA_LOGDERIV)
-    if len(eps_ladder) < 2:
-        raise ValueError("singular extrapolation needs at least two epsilon values")
-    c = _scheme_constant(rootset, scheme)
+        return _pack(_logderiv_value(rootset.roots, n), LAMBDA_LOGDERIV)
+    if c is None:
+        c = nw_constants(rootset)[0]
     values = []
-    for eps in eps_ladder:
-        roots = perturbed_singular_roots(others, n, RegularizationParams(eps, c, scheme))
-        values.append(_logderiv_value(roots, n, j, h))
-    e1, e2 = eps_ladder[-2], eps_ladder[-1]
+    for eps in _EPS_LADDER:
+        roots = perturbed_singular_roots(others, n, RegularizationParams(eps, c))
+        values.append(_logderiv_value(roots, n))
+    e1, e2 = _EPS_LADDER[-2], _EPS_LADDER[-1]
     extrap = (e1 * values[-1] - e2 * values[-2]) / (e1 - e2)
     return _pack(extrap, LAMBDA_LOGDERIV)

@@ -25,7 +25,7 @@ class NonHermitianError(ValueError):
 
 
 def max_chain_length() -> int:
-    """Cap for dense 2**n constructions; override via BETHE_LAB_MAX_N."""
+    """Cap on n for the 2**n-long state vectors; override via BETHE_LAB_MAX_N."""
     raw = os.environ.get("BETHE_LAB_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N
@@ -61,7 +61,7 @@ def vacuum_state(n: int) -> np.ndarray:
     return psi
 
 
-def hamiltonian(n: int, j: float = 1.0) -> np.ndarray:
+def hamiltonian(n: int) -> np.ndarray:
     """Dense XXX Hamiltonian (J/4) sum_k (sigma_k.sigma_{k+1} - 1), periodic.
 
     Entries are real (the sigma^y sigma^y product is real); the matrix is
@@ -82,9 +82,9 @@ def hamiltonian(n: int, j: float = 1.0) -> np.ndarray:
         differ = ((b & m1) != 0) != ((b & m2) != 0)
         bd = b[differ]
         # sigma^z sigma^z - 1 gives -2 on anti-aligned bonds, 0 on aligned ones
-        h[bd, bd] += -j / 2.0
+        h[bd, bd] += -0.5
         # sigma^x sigma^x + sigma^y sigma^y swaps anti-aligned neighbours
-        h[bd ^ (m1 | m2), bd] += j / 2.0
+        h[bd ^ (m1 | m2), bd] += 0.5
     return h
 
 
@@ -98,7 +98,7 @@ def sector_basis(n: int, ell: int) -> np.ndarray:
     return b[counts == ell]
 
 
-def sector_hamiltonian(n: int, ell: int, j: float = 1.0) -> np.ndarray:
+def sector_hamiltonian(n: int, ell: int) -> np.ndarray:
     """XXX Hamiltonian restricted to the ell-magnon sector."""
     if n < 2:
         raise ValueError(f"sector_hamiltonian needs n >= 2, got {n}")
@@ -116,8 +116,8 @@ def sector_hamiltonian(n: int, ell: int, j: float = 1.0) -> np.ndarray:
         m2 = site_mask(knext, n)
         differ = ((idx & m1) != 0) != ((idx & m2) != 0)
         rd = rows[differ]
-        h[rd, rd] += -j / 2.0
-        h[pos[idx[differ] ^ (m1 | m2)], rd] += j / 2.0
+        h[rd, rd] += -0.5
+        h[pos[idx[differ] ^ (m1 | m2)], rd] += 0.5
     return h
 
 
@@ -149,12 +149,13 @@ def highest_weight_basis(n: int, ell: int) -> np.ndarray:
     return vh[rank:].T
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Raises NonHermitianError if the input violates Hermiticity beyond
     1e-12 relative to its largest entry, and RuntimeError if the solver
-    residual exceeds ``tol``.
+    residual exceeds 1e-9 relative to the spectral norm, or the
+    eigenvectors are not orthonormal within 1e-9.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -165,11 +166,11 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
     w, v = np.linalg.eigh(m)
     spec_norm = max(np.abs(w).max(), 1e-300)
     resid = np.linalg.norm(m @ v - v * w, axis=0).max()
-    if resid > tol * spec_norm:
-        raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds {tol:.1e} * ||M||")
+    if resid > 1e-9 * spec_norm:
+        raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds 1.0e-09 * ||M||")
     gram = v.conj().T @ v - np.eye(len(w))
-    if np.abs(gram).max() > tol:
-        raise RuntimeError("eigenvectors not orthonormal to requested tolerance")
+    if np.abs(gram).max() > 1e-9:
+        raise RuntimeError("eigenvectors not orthonormal within 1e-9")
     return w, v
 
 
@@ -181,27 +182,25 @@ class SpectrumEntry:
     multiplicity: int
 
 
-def default_merge_tol(eigs: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.abs(eigs).max()) if len(eigs) else 1.0)
+def spectrum_with_multiplicities(eigs) -> list[SpectrumEntry]:
+    """Merge an ascending eigenvalue list into (energy, multiplicity) entries.
 
-
-def spectrum_with_multiplicities(eigs, merge_tol: float | None = None) -> list[SpectrumEntry]:
-    """Merge an ascending eigenvalue list into (energy, multiplicity) entries."""
+    Neighbours closer than 1e-8 * max(1, max |E|) join one level.
+    """
     eigs = np.asarray(eigs, dtype=float)
     if len(eigs) == 0:
         return []
     if np.any(np.diff(eigs) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    if merge_tol is None:
-        merge_tol = default_merge_tol(eigs)
+    tol = 1e-8 * max(1.0, float(np.abs(eigs).max()))
     entries: list[SpectrumEntry] = []
     start = 0
     for i in range(1, len(eigs) + 1):
-        if i == len(eigs) or eigs[i] - eigs[i - 1] > merge_tol:
+        if i == len(eigs) or eigs[i] - eigs[i - 1] > tol:
             cluster = eigs[start:i]
             level = float(cluster.mean())
             # the E = 0 level is eigensolver noise of either sign; store it exactly
-            if abs(level) <= merge_tol:
+            if abs(level) <= tol:
                 level = 0.0
             entries.append(SpectrumEntry(level, len(cluster)))
             start = i

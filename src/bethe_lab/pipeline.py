@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import abba, baesolver, energy, hilbert, rigged
+from . import baesolver, energy, hilbert, rigged
 
 SPECTRAL_CLOSURE_TOL = 1e-5
 SCHEMA_VERSION = "bethe-lab/3"
@@ -98,12 +98,10 @@ def _nw_details(rootset: baesolver.RootSet) -> dict:
     details = {
         "c1": complex(c1),
         "c2": complex(c2),
-        "energy_logderiv_c1": energy.energy_logderiv(rootset, scheme=abba.C1_SCHEME).energy,
+        "energy_logderiv_c1": energy.energy_logderiv(rootset, c1).energy,
         # the naive (c = 0) regularization is reported for comparison
         # only; it is known to corrupt the eigenvectors
-        "energy_logderiv_naive": energy.energy_logderiv(
-            rootset, scheme=abba.NAIVE_SCHEME
-        ).energy,
+        "energy_logderiv_naive": energy.energy_logderiv(rootset, 0j).energy,
     }
     return details
 

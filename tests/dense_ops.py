@@ -13,14 +13,12 @@ import numpy as np
 
 from bethe_lab import hilbert
 from bethe_lab.abba import (
-    C1_SCHEME,
     PoleError,
     RegularizationParams,
     apply_monodromy,
     perturbed_singular_roots,
 )
-from bethe_lab.baesolver import RootSet, singular_partners
-from bethe_lab.energy import _scheme_constant
+from bethe_lab.baesolver import RootSet, nw_constants, singular_partners
 
 PAULI = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -154,9 +152,7 @@ def unwanted_term(lam: complex, k: int, roots, n: int | None = None) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def derivation_step_ratios(
-    rootset: RootSet, epsilon: float, scheme: str = C1_SCHEME
-) -> tuple[complex, complex]:
+def derivation_step_ratios(rootset: RootSet, epsilon: float) -> tuple[complex, complex]:
     """The two scalar checkpoints of the singular-energy derivation.
 
     Splitting i dLambda/dL at L = i/2 into the no-derivative piece A_0
@@ -169,8 +165,8 @@ def derivation_step_ratios(
     others = singular_partners(rootset.roots)
     if others is None:
         raise ValueError("step ratios are defined for singular root sets")
-    c = _scheme_constant(rootset, scheme)
-    roots = perturbed_singular_roots(others, n, RegularizationParams(epsilon, c, scheme))
+    c = nw_constants(rootset)[0]
+    roots = perturbed_singular_roots(others, n, RegularizationParams(epsilon, c))
     lam0 = 0.5j
     denom = 1j**n
     for z in roots:

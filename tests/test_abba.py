@@ -292,9 +292,7 @@ def test_unwanted_term_epsilon_scaling(n, scheme, k):
     lam = 0.37 - 0.22j
     ratios = []
     for eps in (1e-2, 5e-3):
-        pr = abba.perturbed_singular_roots(
-            (), n, abba.RegularizationParams(eps, c, scheme)
-        )
+        pr = abba.perturbed_singular_roots((), n, abba.RegularizationParams(eps, c))
         coeff = dense_ops.unwanted_term(lam, k, pr, n)
         ratios.append(abs(coeff * (lam - pr[k]) / eps ** (n + 1)))
     assert abs(ratios[0] - ratios[1]) <= 0.1 * ratios[0]
@@ -336,7 +334,7 @@ def test_four_site_sweep_converges():
 
 def test_four_site_naive_scheme_fails():
     rs = RootSet(4, (0.5j, -0.5j))
-    sweep = abba.regularization_sweep(rs, 0j, scheme=abba.NAIVE_SCHEME, energy=-1.0)
+    sweep = abba.regularization_sweep(rs, 0j, energy=-1.0)
     assert not sweep.converged
     assert sweep.limit_residual > 1e-2
 

@@ -92,6 +92,20 @@ def test_solve_subcommand_reports_shortfall(capsys, monkeypatch):
     assert code == pipeline.EXIT_COUNT_SHORTFALL
 
 
+# the one-state sector ell = 1 of the n = 2 chain, as a report holds it
+_REPORT_N2 = {
+    "n": 2,
+    "sectors": [
+        {
+            "ell": 1,
+            "solutions": [
+                {"roots": [{"re": 0.0, "im": 0.0}], "classification": "regular", "residual": 0.0}
+            ],
+        }
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "env, argv",
     [
@@ -100,11 +114,16 @@ def test_solve_subcommand_reports_shortfall(capsys, monkeypatch):
         ({}, ["solve", "--n", "6", "--ell", "4"]),
         ({}, ["plot", "--in", "missing.json", "--out", "roots"]),
         ({}, ["plot", "--in", "no_sectors.json", "--out", "roots"]),
+        # output paths below a regular file
+        ({}, ["run", "--n", "2", "--out", "no_sectors.json/r.json"]),
+        ({}, ["run", "--n", "2", "--out", "r.json", "--csv", "no_sectors.json/r.csv"]),
+        ({}, ["plot", "--in", "report_n2.json", "--out", "no_sectors.json/x"]),
     ],
 )
 def test_bad_input_is_one_line_error(env, argv, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # run would write report.json here
     (tmp_path / "no_sectors.json").write_text('{"n": 4}')  # JSON, but not a report
+    (tmp_path / "report_n2.json").write_text(json.dumps(_REPORT_N2))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert cli.main(argv) == 1

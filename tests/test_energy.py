@@ -146,5 +146,5 @@ def test_logderiv_degenerate_denominator():
 def test_naive_scheme_energy_is_reported_not_asserted():
     # the naive constant-free regularization is reported for comparison;
     # for the bare pair it happens to land on the same energy
-    res = energy.energy_logderiv(RootSet(4, (0.5j, -0.5j)), scheme="naive")
+    res = energy.energy_logderiv(RootSet(4, (0.5j, -0.5j)), 0j)
     assert math.isfinite(res.energy)

@@ -108,7 +108,7 @@ def test_six_site_full_spectrum_contains_golden_level():
 
 
 def test_spectrum_merge_exact_duplicates():
-    entries = hilbert.spectrum_with_multiplicities([-1.0, 0.0, 0.0, 0.0], merge_tol=1e-8)
+    entries = hilbert.spectrum_with_multiplicities([-1.0, 0.0, 0.0, 0.0])
     assert [(e.energy, e.multiplicity) for e in entries] == [(-1.0, 1), (0.0, 3)]
 
 
@@ -120,11 +120,11 @@ def test_spectrum_requires_sorted_input():
 def test_spectrum_stores_zero_level_exactly():
     # eigensolver noise of either sign around E = 0 becomes +0.0
     for noise in ([-1e-16, 2e-16, 3e-16], [-3e-16, -1e-16, -2e-16]):
-        entries = hilbert.spectrum_with_multiplicities([-1.0, *sorted(noise)], merge_tol=1e-8)
+        entries = hilbert.spectrum_with_multiplicities([-1.0, *sorted(noise)])
         assert [(e.energy, e.multiplicity) for e in entries] == [(-1.0, 1), (0.0, 3)]
         assert math.copysign(1.0, entries[1].energy) == 1.0
-    # a level further than merge_tol from 0 keeps its value
-    entries = hilbert.spectrum_with_multiplicities([2e-8, 2e-8], merge_tol=1e-8)
+    # a level further than the merge tolerance (1e-8 here) from 0 keeps its value
+    entries = hilbert.spectrum_with_multiplicities([2e-8, 2e-8])
     assert entries[0].energy == 2e-8
 
 

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from bethe_lab import baesolver as bs, pipeline
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +150,47 @@ def test_spectral_closure_multiset():
         diag = [(e.energy, e.multiplicity) for e in rep.diag_spectrum]
         assert pipeline.multiset_subtract(diag, total, 1e-5) == []
         assert pipeline.multiset_subtract(total, diag, 1e-5) == []
+
+
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def _close_levels(got: list[dict], want: list[dict]) -> bool:
+    return len(got) == len(want) and all(
+        g["multiplicity"] == w["multiplicity"] and _close(g["energy"], w["energy"], 1e-9)
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_report_matches_reference(n):
+    # the stored reports were written by an earlier version of the
+    # package; a refactor that keeps results must keep this one passing
+    with open(DATA / f"report_n{n}.json") as fh:
+        want = json.load(fh)
+    got = pipeline.report_to_dict(pipeline.run_pipeline(n))
+    for key in ("schema", "n", "rc_counts", "audit"):
+        assert got[key] == want[key], key
+    for key in ("diag_spectrum", "bethe_spectrum", "missing_levels", "recovered_by_nw"):
+        assert _close_levels(got[key], want[key]), key
+    assert len(got["sectors"]) == len(want["sectors"])
+    for gs, ws in zip(got["sectors"], want["sectors"]):
+        assert (gs["ell"], gs["rc_count"]) == (ws["ell"], ws["rc_count"])
+        assert gs.get("rc_pairing") == ws.get("rc_pairing")
+        assert len(gs["solutions"]) == len(ws["solutions"])
+        for g, w in zip(gs["solutions"], ws["solutions"]):
+            for key in ("classification", "multiplicity", "energy_method"):
+                assert g[key] == w[key], key
+            assert len(g["roots"]) == len(w["roots"])
+            for gz, wz in zip(g["roots"], w["roots"]):
+                assert abs(complex(gz["re"], gz["im"]) - complex(wz["re"], wz["im"])) <= 1e-10
+            assert _close(g["energy"], w["energy"], 1e-9)
+            assert g["residual"] <= bs.TQ_TOL
+            assert ("nw" in g) == ("nw" in w)
+            if "nw" in w:
+                for key in ("c1", "c2"):
+                    for part in ("re", "im"):
+                        assert _close(g["nw"][key][part], w["nw"][key][part], 1e-9)
+                for key in ("energy_logderiv_c1", "energy_logderiv_naive"):
+                    assert _close(g["nw"][key], w["nw"][key], 1e-9)
