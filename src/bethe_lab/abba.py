@@ -3,20 +3,24 @@
 The monodromy matrix is the ordered product T(L) = L_n(L) ... L_1(L) of
 local operators
 
-    L_k(L) = L * I (x) 1 + (i/2) sum_a sigma^a (x) sigma^a_k,
+    L_k(L) = L * I (x) 1 + (i/2) sum_a sigma^a (x) sigma^a_k
+           = (L - i/2) + i P_k,
 
-viewed as a 2x2 matrix [[A, B], [C, D]] over the auxiliary space.  B
-builds magnons on the all-up vacuum; A + D is the transfer matrix whose
-logarithmic derivative at L = i/2 reproduces the Hamiltonian.
+where P_k swaps the auxiliary spin with site k.  Viewed as a 2x2 matrix
+[[A, B], [C, D]] over the auxiliary space, B builds magnons on the
+all-up vacuum; A + D is the transfer matrix whose logarithmic derivative
+at L = i/2 reproduces the Hamiltonian.
 
-Everything here is computed by applying the site-by-site block recursion
-directly to state vectors (or to matrix column stacks), which keeps the
-cost at O(n 2^n) per application.  A rapidity may also be a polynomial in
-a small parameter eps, given as the matrix of multiplication by it on
-eps-coefficient arrays; the same recursion then returns every
-eps-coefficient of the result.  The Nepomechie-Wang vectors, which
-vanish to order eps^n, are built that way in float64 with no
-cancellation.
+T is applied to state vectors (or to matrix column stacks) one
+auxiliary column at a time: the column (psi, 0) becomes (A psi, C psi)
+and (0, psi) becomes (B psi, D psi).  Each site costs one scaling and
+one row permutation, so an application is O(n 2^n).  Bethe products
+read only B and run only the (0, psi) column.  A rapidity may also be a
+polynomial in a small parameter eps, given as the matrix of
+multiplication by it on eps-coefficient arrays; the same recursion then
+returns every eps-coefficient of the result.  The Nepomechie-Wang
+vectors, which vanish to order eps^n, are built that way in float64
+with no cancellation.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .baesolver import RootSet, TOL_EQUAL, TOL_SINGULAR, singular_partners
+from .baesolver import RootSet, TOL_EQUAL, TOL_SINGULAR, _has_duplicates, singular_partners
 
 # eigen-residual below which the eps^n coefficient of the regularized
 # product is an eigenvector: ~1e-12 for physical singular solutions,
@@ -57,11 +61,27 @@ class RegularizationParams:
             raise ValueError("regularization constant must be finite")
 
 
-def _site_flip(psi: np.ndarray, select: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """sigma^{+/-}_k action: rows in ``select`` copy their bit-flipped partner."""
-    out = np.zeros_like(psi)
-    out[select] = psi[partner[select]]
-    return out
+def _column(lam, n: int, psi: np.ndarray, aux: int):
+    """T(lam) on the auxiliary column holding ``psi`` in slot ``aux``.
+
+    The column is stacked as rows aux * 2^n + b, so slot 0 is (psi, 0),
+    which T maps to (A psi, C psi), and slot 1 is (0, psi), which it maps
+    to (B psi, D psi); the two halves are returned.
+    """
+    matrix = np.ndim(lam) == 2
+    # L_k = (lam - i/2) + i P_k, with -i/2 folded into the rapidity once
+    shifted = lam - 0.5j * np.eye(len(lam)) if matrix else complex(lam) - 0.5j
+    dim = 1 << n
+    y = np.zeros((2 * dim, *psi.shape[1:]), dtype=complex)
+    y[aux * dim : (aux + 1) * dim] = psi
+    rows = np.arange(2 * dim)
+    for k in range(1, n + 1):
+        # P_k: a row whose aux bit differs from site k's bit flips both
+        differ = ((rows >> n) ^ (rows >> (n - k))) & 1
+        swapped = 1j * y[rows ^ differ * (dim | 1 << (n - k))]
+        y = y @ shifted if matrix else np.multiply(shifted, y, out=y)
+        y += swapped
+    return y[:dim], y[dim:]
 
 
 def apply_monodromy(lam, n: int, psi: np.ndarray):
@@ -73,35 +93,12 @@ def apply_monodromy(lam, n: int, psi: np.ndarray):
     held along the trailing axis of ``psi`` (column j carries eps^j, so
     the shift ``np.eye(m, k=1)`` multiplies by eps).
     """
-    dim = 1 << n
     psi = np.asarray(psi)
-    if psi.shape[0] != dim:
-        raise ValueError(f"state vector has dim {psi.shape[0]}, expected {dim}")
-    if np.ndim(lam) == 2:
-        def times_lam(x):
-            return x @ lam
-    else:
-        lam = complex(lam)
-
-        def times_lam(x):
-            return lam * x
-    b_idx = np.arange(dim)
-    extra = (1,) * (psi.ndim - 1)
-    # T_0 is the identity and T_k = L_k T_(k-1)
-    zero = np.zeros(psi.shape, dtype=complex)
-    a, bv, c, d = psi, zero, zero, psi
-    for k in range(1, n + 1):
-        mask = 1 << (n - k)
-        down = (b_idx & mask) != 0
-        partner = b_idx ^ mask
-        spin = np.where(down, -0.5j, 0.5j).reshape(dim, *extra)  # (i/2) sigma^3_k
-        a, bv, c, d = (
-            times_lam(a) + spin * a + 1j * _site_flip(c, down, partner),
-            times_lam(bv) + spin * bv + 1j * _site_flip(d, down, partner),
-            1j * _site_flip(a, ~down, partner) + times_lam(c) - spin * c,
-            1j * _site_flip(bv, ~down, partner) + times_lam(d) - spin * d,
-        )
-    return a, bv, c, d
+    if psi.shape[0] != 1 << n:
+        raise ValueError(f"state vector has dim {psi.shape[0]}, expected {1 << n}")
+    a, c = _column(lam, n, psi, 0)
+    b, d = _column(lam, n, psi, 1)
+    return a, b, c, d
 
 
 def transfer_apply(lam, n: int, psi: np.ndarray) -> np.ndarray:
@@ -144,10 +141,8 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
 
 def _check_regular_roots(roots):
     roots = [complex(z) for z in roots]
-    for i, zi in enumerate(roots):
-        for zj in roots[i + 1 :]:
-            if abs(zi - zj) <= TOL_EQUAL:
-                raise ValueError(f"coinciding rapidities {zi} and {zj}")
+    if _has_duplicates(roots, TOL_EQUAL):
+        raise ValueError(f"coinciding rapidities in {roots}")
     for z in roots:
         if min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR:
             raise SingularRootError(
@@ -161,7 +156,7 @@ def bethe_vector(rootset: RootSet) -> np.ndarray:
     roots = _check_regular_roots(rootset.roots)
     psi = hilbert.vacuum_state(rootset.n)
     for lam in roots:
-        psi = apply_monodromy(lam, rootset.n, psi)[1]
+        psi = _column(lam, rootset.n, psi, 1)[0]
     return psi
 
 
@@ -191,7 +186,7 @@ def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:
     psi = np.zeros((1 << n, m), dtype=complex)
     psi[0, 0] = 1.0
     for lam in reversed([lam1, lam2, *others]):
-        psi = apply_monodromy(lam, n, psi)[1]
+        psi = _column(lam, n, psi, 1)[0]
     return psi
 
 

@@ -85,10 +85,13 @@ class SolverConfig:
     )
 
 
+def _root_key(z: complex) -> tuple[float, float]:
+    return (-round(z.real, 9), -round(z.imag, 9))
+
+
 def canonical_roots(roots) -> tuple[complex, ...]:
     """Deterministic root order: descending real part, then descending imag."""
-    key = lambda z: (-round(z.real, 9), -round(z.imag, 9))
-    return tuple(sorted((complex(z) for z in roots), key=key))
+    return tuple(sorted((complex(z) for z in roots), key=_root_key))
 
 
 def singular_partners(roots):
@@ -308,11 +311,7 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
             continue
         out.append(rs)
 
-    out.sort(
-        key=lambda rs: tuple(
-            (-round(z.real, 9), -round(z.imag, 9)) for z in rs.roots
-        )
-    )
+    out.sort(key=lambda rs: tuple(map(_root_key, rs.roots)))
     return out
 
 

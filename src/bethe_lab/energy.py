@@ -14,12 +14,14 @@ and both are cross-checked here against the independent route
     E = (J/2) (i d/dL log Lambda(L)|_{L=i/2} - n)
 
 with the derivative taken by central differences of the transfer-matrix
-eigenvalue, extrapolated in epsilon for the singular case.  There is no
-coupling parameter: every energy is in units of J.
+eigenvalue, extrapolated to epsilon = 0 at second order for the
+singular case.  There is no coupling parameter: every energy is in
+units of J.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .abba import RegularizationParams, perturbed_singular_roots, transfer_eigenvalue
@@ -28,8 +30,6 @@ from .baesolver import PHYSICAL_SINGULAR, REGULAR, RootSet, nw_constants, singul
 REGULAR_FORMULA = "regular_formula"
 NW_THEOREM = "nw_theorem"
 LAMBDA_LOGDERIV = "lambda_logderiv"
-
-IMAG_LEAK_TOL = 1e-8
 
 # epsilons at which a singular set is regularized before extrapolation,
 # and the central-difference step of the log-derivative
@@ -46,10 +46,6 @@ class EnergyResult:
     energy: float
     method: str
     imag_leak: float
-
-    @property
-    def valid(self) -> bool:
-        return self.imag_leak <= IMAG_LEAK_TOL
 
 
 def _pack(value: complex, method: str) -> EnergyResult:
@@ -105,8 +101,9 @@ def energy_logderiv(rootset: RootSet, c: complex | None = None) -> EnergyResult:
 
     Regular sets are evaluated directly; singular ones are evaluated on
     the roots regularized with the constant ``c`` (default: c1 of
-    ``nw_constants``) for each epsilon of the ladder and Richardson
-    extrapolated (first order) from the two smallest epsilons.
+    ``nw_constants``) for each epsilon of the ladder, and the quadratic
+    through all three values is evaluated at eps = 0, so the error terms
+    in eps and eps^2 cancel.
     """
     n = rootset.n
     others = singular_partners(rootset.roots)
@@ -114,10 +111,10 @@ def energy_logderiv(rootset: RootSet, c: complex | None = None) -> EnergyResult:
         return _pack(_logderiv_value(rootset.roots, n), LAMBDA_LOGDERIV)
     if c is None:
         c = nw_constants(rootset)[0]
-    values = []
+    extrap = 0j
     for eps in _EPS_LADDER:
         roots = perturbed_singular_roots(others, n, RegularizationParams(eps, c))
-        values.append(_logderiv_value(roots, n))
-    e1, e2 = _EPS_LADDER[-2], _EPS_LADDER[-1]
-    extrap = (e1 * values[-1] - e2 * values[-2]) / (e1 - e2)
+        # Lagrange weight of this rung at eps = 0
+        weight = math.prod(e / (e - eps) for e in _EPS_LADDER if e != eps)
+        extrap += weight * _logderiv_value(roots, n)
     return _pack(extrap, LAMBDA_LOGDERIV)

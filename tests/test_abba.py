@@ -122,6 +122,33 @@ def test_vacuum_eigenactions():
         assert abs(np.vdot(vac, b)) < 1e-12  # B creates one magnon
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_matrix_rapidity_matches_scalar_columns(n):
+    # lam0 * I_m acts on each eps-coefficient column alone, so every
+    # column must come out as the scalar recursion at lam0 gives it
+    m = 4
+    rng = np.random.default_rng(40 + n)
+    lam0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    psi = rng.normal(size=(1 << n, m)) + 1j * rng.normal(size=(1 << n, m))
+    blocks = abba.apply_monodromy(lam0 * np.eye(m), n, psi)
+    for j in range(m):
+        scalar = abba.apply_monodromy(lam0, n, psi[:, j])
+        for got, want in zip(blocks, scalar):
+            assert np.abs(got[:, j] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_bethe_vector_matches_dense_b_product(n):
+    # off-shell rapidities: the B-only column product must still equal
+    # B(L_1) ... B(L_ell) |0> from the dense blocks
+    lams = _random_lams(3 if n >= 6 else 2, seed=50 + n)
+    psi = hilbert.vacuum_state(n).astype(complex)
+    for lam in lams:
+        psi = dense_ops.monodromy(lam, n).b @ psi
+    got = abba.bethe_vector(RootSet(n, tuple(lams)))
+    assert np.abs(got - psi).max() <= 1e-12 * np.abs(psi).max()
+
+
 def test_b_operators_commute():
     rng = np.random.default_rng(15)
     for n in (3, 5, 8):

@@ -24,7 +24,7 @@ def test_six_site_complex_pair():
     roots = RootSet(6, (0.554592 + 0.512465j, 0.554592 - 0.512465j))
     res = energy.energy_regular(roots)
     assert abs(res.energy + 0.7192) < 1e-4
-    assert res.valid
+    assert res.imag_leak <= 1e-8
 
 
 def test_regular_formula_rejects_singular_sets():
@@ -83,9 +83,9 @@ def test_logderiv_agreement_for_solved_sectors(solved):
 
 def test_logderiv_singular_extrapolation():
     res = energy.energy_logderiv(RootSet(4, (0.5j, -0.5j)))
-    assert abs(res.energy + 1.0) <= 1e-4
+    assert abs(res.energy + 1.0) <= 1e-6
     res6 = energy.energy_logderiv(RootSet(6, (0.5j, 0.0, -0.5j)))
-    assert abs(res6.energy + 3.0) <= 1e-4
+    assert abs(res6.energy + 3.0) <= 1e-6
 
 
 def test_logderiv_singular_agreement_for_solved_sectors(solved):
@@ -96,7 +96,7 @@ def test_logderiv_singular_agreement_for_solved_sectors(solved):
                     continue
                 reference = energy.energy_nw(s).energy
                 via_lambda = energy.energy_logderiv(s).energy
-                assert abs(via_lambda - reference) <= 1e-4 * max(1.0, abs(reference))
+                assert abs(via_lambda - reference) <= 1e-6 * max(1.0, abs(reference))
 
 
 def test_every_bethe_energy_appears_in_exact_spectrum(solved):
@@ -115,7 +115,6 @@ def test_every_bethe_energy_appears_in_exact_spectrum(solved):
 def test_imag_leak_flags_broken_conjugation():
     res = energy.energy_regular(RootSet(4, (0.2 + 0.4j,)))
     assert res.imag_leak > 1e-8
-    assert not res.valid
 
 
 @pytest.mark.parametrize("n", [4, 6])
