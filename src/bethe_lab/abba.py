@@ -11,16 +11,18 @@ where P_k swaps the auxiliary spin with site k.  Viewed as a 2x2 matrix
 all-up vacuum; A + D is the transfer matrix whose logarithmic derivative
 at L = i/2 reproduces the Hamiltonian.
 
-T is applied to state vectors (or to matrix column stacks) one
-auxiliary column at a time: the column (psi, 0) becomes (A psi, C psi)
-and (0, psi) becomes (B psi, D psi).  Each site costs one scaling and
-one row permutation, so an application is O(n 2^n).  Bethe products
-read only B and run only the (0, psi) column.  A rapidity may also be a
-polynomial in a small parameter eps, given as the matrix of
-multiplication by it on eps-coefficient arrays; the same recursion then
-returns every eps-coefficient of the result.  The Nepomechie-Wang
-vectors, which vanish to order eps^n, are built that way in float64
-with no cancellation.
+Vectors are in sector coordinates: an ell-magnon vector has C(n, ell)
+entries, indexed like ``hilbert.sector_basis(n, ell)``.  T is applied
+one auxiliary column at a time: (psi, 0) becomes (A psi, C psi) and
+(0, psi) becomes (B psi, D psi).  L_k keeps the number p of down spins,
+so a column holds only its C(n + 1, p) rows, and each site costs one
+scaling and one row gather.  Bethe products read only B and run only
+the (0, psi) column.  A rapidity may also be a polynomial in a small
+parameter eps, given as the matrix of multiplication by it on
+eps-coefficient arrays; the same recursion then returns every
+eps-coefficient of the result.  The Nepomechie-Wang vectors, which
+vanish to order eps^n, are built that way in float64 with no
+cancellation.
 """
 
 from __future__ import annotations
@@ -61,50 +63,49 @@ class RegularizationParams:
             raise ValueError("regularization constant must be finite")
 
 
-def _column(lam, n: int, psi: np.ndarray, aux: int):
-    """T(lam) on the auxiliary column holding ``psi`` in slot ``aux``.
+def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
+    """T(lam) on the column holding the ell-magnon ``psi`` in slot ``aux``.
 
-    The column is stacked as rows aux * 2^n + b, so slot 0 is (psi, 0),
-    which T maps to (A psi, C psi), and slot 1 is (0, psi), which it maps
-    to (B psi, D psi); the two halves are returned.
+    Stacked rows are aux * 2^n + b.  Only the C(n + 1, p) rows with
+    p = ell + aux down spins are held, ascending: C(n, p) of sector p
+    with the auxiliary spin up, then sector p - 1 with it down.  Slot 0
+    is (psi, 0), which T maps to (A psi, C psi), and slot 1 is (0, psi),
+    which it maps to (B psi, D psi); both parts come back in sector
+    coordinates.
     """
     matrix = np.ndim(lam) == 2
     # L_k = (lam - i/2) + i P_k, with -i/2 folded into the rapidity once
     shifted = lam - 0.5j * np.eye(len(lam)) if matrix else complex(lam) - 0.5j
-    dim = 1 << n
-    y = np.zeros((2 * dim, *psi.shape[1:]), dtype=complex)
-    y[aux * dim : (aux + 1) * dim] = psi
-    rows = np.arange(2 * dim)
+    rows = hilbert._with_down_spins(n + 1, ell + aux)
+    top = hilbert.binomial(n, ell + aux)
+    y = np.zeros((len(rows), *psi.shape[1:]), dtype=complex)
+    y[top * aux : top + aux * len(rows)] = psi  # rows [0, top) or [top, end)
     for k in range(1, n + 1):
         # P_k: a row whose aux bit differs from site k's bit flips both
         differ = ((rows >> n) ^ (rows >> (n - k))) & 1
-        swapped = 1j * y[rows ^ differ * (dim | 1 << (n - k))]
+        swapped = 1j * y[np.searchsorted(rows, rows ^ differ * (1 << n | 1 << (n - k)))]
         y = y @ shifted if matrix else np.multiply(shifted, y, out=y)
         y += swapped
-    return y[:dim], y[dim:]
+    return y[:top], y[top:]
 
 
-def apply_monodromy(lam, n: int, psi: np.ndarray):
-    """Apply the four monodromy blocks at rapidity ``lam`` to ``psi``.
+def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
+    """Apply the four monodromy blocks at rapidity ``lam`` to the ell-magnon ``psi``.
 
-    ``psi`` has shape (2^n,) or (2^n, m); returns (A psi, B psi, C psi,
-    D psi).  ``lam`` is a number, or an (m, m) upper-triangular Toeplitz
-    matrix: a rapidity polynomial in eps acting on the eps-coefficients
-    held along the trailing axis of ``psi`` (column j carries eps^j, so
-    the shift ``np.eye(m, k=1)`` multiplies by eps).
+    ``psi`` has shape (C(n, ell),) or (C(n, ell), m), indexed like
+    ``hilbert.sector_basis(n, ell)``; returns (A psi, B psi, C psi,
+    D psi) in sectors ell, ell + 1, ell - 1 and ell.  ``lam`` is a
+    number, or an (m, m) upper-triangular Toeplitz matrix: a rapidity
+    polynomial in eps acting on the eps-coefficients held along the
+    trailing axis of ``psi`` (column j carries eps^j, so the shift
+    ``np.eye(m, k=1)`` multiplies by eps).
     """
     psi = np.asarray(psi)
-    if psi.shape[0] != 1 << n:
-        raise ValueError(f"state vector has dim {psi.shape[0]}, expected {1 << n}")
-    a, c = _column(lam, n, psi, 0)
-    b, d = _column(lam, n, psi, 1)
+    if not 0 <= ell <= n or psi.shape[0] != hilbert.binomial(n, ell):
+        raise ValueError(f"need 0 <= ell <= {n} and C({n}, ell) rows; got ell={ell}, {psi.shape}")
+    a, c = _column(lam, n, ell, psi, 0)
+    b, d = _column(lam, n, ell, psi, 1)
     return a, b, c, d
-
-
-def transfer_apply(lam, n: int, psi: np.ndarray) -> np.ndarray:
-    """(A + D) psi without building dense blocks."""
-    a, _, _, d = apply_monodromy(lam, n, psi)
-    return a + d
 
 
 # generic point at which the restricted transfer matrix is diagonalized;
@@ -128,11 +129,9 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
     Rayleigh quotient x^H C_j x.
     """
     basis = hilbert.highest_weight_basis(n, ell)
-    idx = hilbert.sector_basis(n, ell)
-    psi = np.zeros((1 << n, basis.shape[1]), dtype=complex)
-    psi[idx] = basis
     nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    at_nodes = np.array([basis.T @ transfer_apply(u, n, psi)[idx] for u in nodes])
+    blocks = (apply_monodromy(u, n, ell, basis) for u in nodes)
+    at_nodes = np.array([basis.T @ (a + d) for a, _, _, d in blocks])
     coeffs = np.fft.fft(at_nodes, axis=0) / (n + 1)  # coeffs[j] = C_j
     _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(n + 1), coeffs, 1))
     lam = np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in coeffs])
@@ -152,11 +151,11 @@ def _check_regular_roots(roots):
 
 
 def bethe_vector(rootset: RootSet) -> np.ndarray:
-    """B(L_1) ... B(L_ell) |0>, living in the ell-magnon sector."""
+    """B(L_1) ... B(L_ell) |0>, in sector coordinates of the ell-magnon sector."""
     roots = _check_regular_roots(rootset.roots)
-    psi = hilbert.vacuum_state(rootset.n)
-    for lam in roots:
-        psi = _column(lam, rootset.n, psi, 1)[0]
+    psi = np.ones(1, dtype=complex)  # |0>, the one state of sector 0
+    for ell, lam in enumerate(roots):
+        psi = _column(lam, rootset.n, ell, psi, 1)[0]
     return psi
 
 
@@ -169,7 +168,7 @@ def perturbed_singular_roots(others, n: int, params: RegularizationParams):
 
 
 def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:
-    """eps-coefficients of B(L1) B(L2) B(L3) ... |0>, shape (2^n, n^2 + n + 1).
+    """eps-coefficients of B(L1) B(L2) B(L3) ... |0>, shape (C(n, ell), n^2 + n + 1).
 
     With L1 = i/2 + eps + c eps^n and L2 = -i/2 + eps every component is
     a polynomial of degree n^2 + n in eps.  Its coefficients below eps^n
@@ -183,10 +182,10 @@ def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:
     shift = np.eye(m, k=1)
     lam1 = 0.5j * np.eye(m) + shift + c * np.eye(m, k=n)
     lam2 = -0.5j * np.eye(m) + shift
-    psi = np.zeros((1 << n, m), dtype=complex)
-    psi[0, 0] = 1.0
-    for lam in reversed([lam1, lam2, *others]):
-        psi = _column(lam, n, psi, 1)[0]
+    psi = np.zeros((1, m), dtype=complex)
+    psi[0, 0] = 1.0  # |0> at eps^0
+    for ell, lam in enumerate(reversed([lam1, lam2, *others])):
+        psi = _column(lam, n, ell, psi, 1)[0]
     return psi
 
 
@@ -199,10 +198,11 @@ def _nw_at(series: np.ndarray, n: int, eps: float) -> np.ndarray:
 def regularized_nw_vector(rootset: RootSet, params: RegularizationParams) -> np.ndarray:
     """The Nepomechie-Wang vector eps^-n B(L1) B(L2) B(L3) ... |0>.
 
-    For a physical singular solution this converges, as eps -> 0, to a
-    non-zero eigenvector of the Hamiltonian.  The product vanishes to
-    order eps^n, so it is expanded exactly in eps and the terms from eps^n
-    on are summed in float64, with no cancellation at any eps.
+    The vector is in sector coordinates of the ell-magnon sector.  For a
+    physical singular solution it converges, as eps -> 0, to a non-zero
+    eigenvector of the Hamiltonian.  The product vanishes to order eps^n,
+    so it is expanded exactly in eps and the terms from eps^n on are
+    summed in float64, with no cancellation at any eps.
     """
     return _nw_at(_nw_series(rootset, complex(params.c)), rootset.n, params.epsilon)
 
@@ -233,18 +233,17 @@ def regularization_sweep(
 
     The product is expanded in eps once; each rung sums that series and
     the limit is its eps^n coefficient.  Residuals are taken on the
-    ell-magnon block, which holds the whole vector, against the supplied
-    energy (Rayleigh quotient when omitted).
+    ell-magnon sector Hamiltonian against the supplied energy (Rayleigh
+    quotient when omitted).
     """
     n = rootset.n
-    basis = hilbert.sector_basis(n, rootset.ell)
     h = hilbert.sector_hamiltonian(n, rootset.ell)
 
     def residual(psi: np.ndarray) -> float:
         norm = np.linalg.norm(psi)
         if norm == 0:
             return float("inf")
-        v = psi[basis] / norm
+        v = psi / norm
         e = energy if energy is not None else float(np.real(v.conj() @ (h @ v)))
         return float(np.linalg.norm(h @ v - e * v))
 

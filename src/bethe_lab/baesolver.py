@@ -237,20 +237,15 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
     has real coefficients; the residual is taken against the full
     complex M, so a Lambda that is not real fails it.
     """
-    poly = np.polynomial.polynomial
-    plus = poly.polypow([0.5j, 1.0], n)
-    minus = poly.polypow([-0.5j, 1.0], n)
+    # (u + i/2)^n (u - i)^k and (u - i/2)^n (u + i)^k, highest power first;
+    # their coefficients are dyadic, so they are exact
+    plus, minus = np.poly([-0.5j] * n), np.poly([0.5j] * n)
     cols = np.zeros((n + ell + 1, ell + 1), dtype=complex)
     for k in range(ell + 1):
-        # the image of the monomial u^k
-        term = poly.polysub(
-            poly.polymul(lam_coeffs, [0.0] * k + [1.0]),
-            poly.polyadd(
-                poly.polymul(plus, poly.polypow([-1j, 1.0], k)),
-                poly.polymul(minus, poly.polypow([1j, 1.0], k)),
-            ),
-        )
-        cols[: len(term), k] = term
+        # the image of u^k: Lambda u^k minus both products
+        cols[k : k + n + 1, k] = lam_coeffs
+        cols[: n + k + 1, k] -= (plus + minus)[::-1]
+        plus, minus = np.convolve(plus, [1, -1j]), np.convolve(minus, [1, 1j])
     m = cols.real
     q = np.append(np.linalg.lstsq(m[:, :ell], -m[:, ell], rcond=None)[0], 1.0)
     residual = np.linalg.norm(cols @ q) / (np.linalg.norm(cols, 2) * np.linalg.norm(q))

@@ -88,14 +88,18 @@ def hamiltonian(n: int) -> np.ndarray:
     return h
 
 
+def _with_down_spins(bits: int, count: int) -> np.ndarray:
+    """Ascending indices in [0, 2**bits) with exactly ``count`` bits set."""
+    b = np.arange(1 << bits)
+    return np.flatnonzero(sum((b >> k) & 1 for k in range(bits)) == count)
+
+
 def sector_basis(n: int, ell: int) -> np.ndarray:
     """Ascending basis indices with exactly ell down spins."""
     _check_n(n)
     if not 0 <= ell <= n:
         raise ValueError(f"magnon number ell={ell} outside [0, {n}]")
-    b = np.arange(1 << n)
-    counts = np.array([int(x).bit_count() for x in b])
-    return b[counts == ell]
+    return _with_down_spins(n, ell)
 
 
 def sector_hamiltonian(n: int, ell: int) -> np.ndarray:

@@ -54,6 +54,14 @@ def translation_matrix(n: int) -> np.ndarray:
     return t
 
 
+def embed(n: int, ell: int, v) -> np.ndarray:
+    """An ell-magnon vector (or column block) in sector coordinates, placed in the 2^n space."""
+    v = np.asarray(v)
+    full = np.zeros((1 << n, *v.shape[1:]), dtype=complex)
+    full[hilbert.sector_basis(n, ell)] = v
+    return full
+
+
 def raising_operator(n: int) -> np.ndarray:
     """Total spin raising operator S^+ = sum_k (sigma^x_k + i sigma^y_k)/2."""
     hilbert._check_n(n)
@@ -110,11 +118,23 @@ def l_operator(k: int, lam: complex, n: int) -> list[list[np.ndarray]]:
 
 
 def monodromy(lam: complex, n: int) -> MonodromyBlocks:
-    """Dense monodromy blocks, built by applying the recursion to the identity."""
+    """Dense monodromy blocks, assembled sector by sector from the package's recursion.
+
+    Each sector's identity goes through ``apply_monodromy``; A and D keep
+    the sector, B raises the magnon number by one and C lowers it.
+    """
     hilbert._check_n(n)
-    eye = np.eye(1 << n, dtype=complex)
-    a, b, c, d = apply_monodromy(lam, n, eye)
-    return MonodromyBlocks(complex(lam), a, b, c, d)
+
+    def sector(ell):
+        return hilbert.sector_basis(n, ell) if 0 <= ell <= n else np.zeros(0, dtype=int)
+
+    blocks = [np.zeros((1 << n, 1 << n), dtype=complex) for _ in range(4)]
+    for ell in range(n + 1):
+        idx = sector(ell)
+        images = apply_monodromy(lam, n, ell, np.eye(len(idx)))
+        for block, image, out in zip(blocks, images, (ell, ell + 1, ell - 1, ell)):
+            block[np.ix_(sector(out), idx)] = image
+    return MonodromyBlocks(complex(lam), *blocks)
 
 
 def transfer_matrix(lam: complex, n: int) -> np.ndarray:

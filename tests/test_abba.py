@@ -90,9 +90,7 @@ def test_yang_baxter_relation():
 
 
 def test_monodromy_matches_explicit_block_product():
-    n = 3
     lam = 0.3 - 0.7j
-    ls = [dense_ops.l_operator(k, lam, n) for k in range(1, n + 1)]
 
     def block_mul(x, y):
         return [
@@ -100,26 +98,42 @@ def test_monodromy_matches_explicit_block_product():
             [x[1][0] @ y[0][0] + x[1][1] @ y[1][0], x[1][0] @ y[0][1] + x[1][1] @ y[1][1]],
         ]
 
-    explicit = ls[-1]
-    for l_op in reversed(ls[:-1]):
-        explicit = block_mul(explicit, l_op)
-    blocks = dense_ops.monodromy(lam, n)
-    assert np.allclose(explicit[0][0], blocks.a)
-    assert np.allclose(explicit[0][1], blocks.b)
-    assert np.allclose(explicit[1][0], blocks.c)
-    assert np.allclose(explicit[1][1], blocks.d)
+    # every sector, the edges included: ell = 0 has an empty C block and
+    # ell = n an empty B block
+    for n in range(1, 6):
+        ls = [dense_ops.l_operator(k, lam, n) for k in range(1, n + 1)]
+        explicit = ls[-1]
+        for l_op in reversed(ls[:-1]):
+            explicit = block_mul(explicit, l_op)
+        blocks = dense_ops.monodromy(lam, n)
+        assert np.allclose(explicit[0][0], blocks.a)
+        assert np.allclose(explicit[0][1], blocks.b)
+        assert np.allclose(explicit[1][0], blocks.c)
+        assert np.allclose(explicit[1][1], blocks.d)
 
 
 def test_vacuum_eigenactions():
     rng = np.random.default_rng(14)
-    for n in (1, 3, 6):
+    # n = 14 is the default cap, one bit less than the column stack has
+    for n in (1, 3, 6, 14):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         vac = hilbert.vacuum_state(n)
-        a, b, c, d = abba.apply_monodromy(lam, n, vac)
-        assert np.allclose(a, (lam + 0.5j) ** n * vac, atol=1e-12)
-        assert np.allclose(d, (lam - 0.5j) ** n * vac, atol=1e-12)
+        a, b, c, d = abba.apply_monodromy(lam, n, 0, np.ones(1))
+        assert np.allclose(dense_ops.embed(n, 0, a), (lam + 0.5j) ** n * vac, atol=1e-12)
+        assert np.allclose(dense_ops.embed(n, 0, d), (lam - 0.5j) ** n * vac, atol=1e-12)
         assert np.allclose(c, 0.0, atol=1e-12)
-        assert abs(np.vdot(vac, b)) < 1e-12  # B creates one magnon
+        assert c.shape == (0,)  # no sector below the vacuum
+        assert abs(np.vdot(vac, dense_ops.embed(n, 1, b))) < 1e-12  # B creates one magnon
+
+
+def test_apply_monodromy_rejects_bad_input():
+    with pytest.raises(ValueError):
+        abba.apply_monodromy(0.3, 4, 2, np.ones(5))  # C(4, 2) = 6
+    with pytest.raises(ValueError):
+        abba.apply_monodromy(0.3, 4, 2, np.ones(16))  # a full-space vector
+    for ell in (-1, 5):
+        with pytest.raises(ValueError):
+            abba.apply_monodromy(0.3, 4, ell, np.ones(0))  # C(4, ell) = 0 rows
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -129,12 +143,16 @@ def test_matrix_rapidity_matches_scalar_columns(n):
     m = 4
     rng = np.random.default_rng(40 + n)
     lam0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    psi = rng.normal(size=(1 << n, m)) + 1j * rng.normal(size=(1 << n, m))
-    blocks = abba.apply_monodromy(lam0 * np.eye(m), n, psi)
-    for j in range(m):
-        scalar = abba.apply_monodromy(lam0, n, psi[:, j])
-        for got, want in zip(blocks, scalar):
-            assert np.abs(got[:, j] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for ell in range(n + 1):
+        dim = hilbert.binomial(n, ell)
+        psi = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
+        blocks = abba.apply_monodromy(lam0 * np.eye(m), n, ell, psi)
+        for j in range(m):
+            scalar = abba.apply_monodromy(lam0, n, ell, psi[:, j])
+            for got, want in zip(blocks, scalar):
+                # B at ell = n and C at ell = 0 are empty
+                scale = max(1.0, np.abs(want).max(initial=0))
+                assert np.abs(got[:, j] - want).max(initial=0) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -145,7 +163,7 @@ def test_bethe_vector_matches_dense_b_product(n):
     psi = hilbert.vacuum_state(n).astype(complex)
     for lam in lams:
         psi = dense_ops.monodromy(lam, n).b @ psi
-    got = abba.bethe_vector(RootSet(n, tuple(lams)))
+    got = dense_ops.embed(n, len(lams), abba.bethe_vector(RootSet(n, tuple(lams))))
     assert np.abs(got - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
@@ -188,18 +206,19 @@ def test_hamiltonian_reconstruction_from_transfer_matrix():
 
 
 def test_bethe_vector_empty_product_is_vacuum():
-    assert np.allclose(abba.bethe_vector(RootSet(4, ())), hilbert.vacuum_state(4))
+    psi = dense_ops.embed(4, 0, abba.bethe_vector(RootSet(4, ())))
+    assert np.allclose(psi, hilbert.vacuum_state(4))
 
 
 def test_four_site_single_magnon_row():
-    psi = abba.bethe_vector(RootSet(4, (0.5,)))
+    psi = dense_ops.embed(4, 1, abba.bethe_vector(RootSet(4, (0.5,))))
     h = hilbert.hamiltonian(4)
     assert np.linalg.norm(h @ psi + psi) <= 1e-9 * np.linalg.norm(psi)
 
 
 def test_four_site_two_magnon_row():
     roots = RootSet(4, (1 / math.sqrt(12), -1 / math.sqrt(12)))
-    psi = abba.bethe_vector(roots)
+    psi = dense_ops.embed(4, 2, abba.bethe_vector(roots))
     h = hilbert.hamiltonian(4)
     assert np.linalg.norm(h @ psi + 3 * psi) <= 1e-9 * np.linalg.norm(psi)
 
@@ -216,7 +235,8 @@ def test_bethe_vector_routes_singular_pair_to_regularization():
 
 def test_bethe_vector_sector_placement():
     roots = RootSet(6, (0.582004, -0.094167))
-    psi = abba.bethe_vector(roots)
+    assert abba.bethe_vector(roots).shape == (hilbert.binomial(6, 2),)
+    psi = dense_ops.embed(6, 2, abba.bethe_vector(roots))
     counts = np.array([int(b).bit_count() for b in range(64)])
     outside = np.abs(psi[counts != 2]).max()
     assert outside <= 1e-12 * np.abs(psi).max()
@@ -224,7 +244,7 @@ def test_bethe_vector_sector_placement():
 
 def test_bethe_vector_is_highest_weight():
     roots = RootSet(6, (0.5 * math.tan(math.pi / 3) ** -1,))  # cot(pi/3)/2
-    psi = abba.bethe_vector(roots)
+    psi = dense_ops.embed(6, 1, abba.bethe_vector(roots))
     raised = dense_ops.raising_operator(6) @ psi
     assert np.linalg.norm(raised) <= 1e-8 * np.linalg.norm(psi)
 
@@ -268,7 +288,8 @@ def test_transfer_eigenvalue_matches_operator_action():
     roots = RootSet(4, (1 / math.sqrt(12), -1 / math.sqrt(12)))
     psi = abba.bethe_vector(roots)
     for lam in _random_lams(5, seed=18):
-        tau_psi = abba.transfer_apply(lam, 4, psi)
+        a, _, _, d = abba.apply_monodromy(lam, 4, 2, psi)
+        tau_psi = a + d
         val = abba.transfer_eigenvalue(lam, roots)
         assert np.linalg.norm(tau_psi - val * psi) <= 1e-9 * abs(val) * np.linalg.norm(psi)
 
@@ -341,11 +362,13 @@ def test_four_site_regularized_vector_small_epsilon():
     rs = RootSet(4, (0.5j, -0.5j))
     c1, _ = nw_constants(rs)
     psi = abba.regularized_nw_vector(rs, abba.RegularizationParams(1e-3, c1))
+    psi = dense_ops.embed(4, 2, psi)
     h = hilbert.hamiltonian(4)
     res = np.linalg.norm(h @ psi + psi) / np.linalg.norm(psi)
     assert res <= 1e-2
     # and the residual keeps shrinking with epsilon
     psi2 = abba.regularized_nw_vector(rs, abba.RegularizationParams(5e-4, c1))
+    psi2 = dense_ops.embed(4, 2, psi2)
     res2 = np.linalg.norm(h @ psi2 + psi2) / np.linalg.norm(psi2)
     assert res2 < res
 
@@ -376,6 +399,7 @@ def test_six_site_triple_regularized_vector():
     residuals = []
     for eps in (2e-3, 1e-3):
         psi = abba.regularized_nw_vector(rs, abba.RegularizationParams(eps, c1))
+        psi = dense_ops.embed(6, 3, psi)
         residuals.append(np.linalg.norm(h @ psi + 3 * psi) / np.linalg.norm(psi))
     assert residuals[1] < residuals[0]
     assert residuals[1] <= 5e-3
@@ -393,9 +417,9 @@ def test_series_matches_direct_float_product():
     rs = RootSet(4, (0.5j, -0.5j))
     c1, _ = nw_constants(rs)
     params = abba.RegularizationParams(1e-2, c1)
-    psi = hilbert.vacuum_state(4)
-    for lam in reversed(abba.perturbed_singular_roots((), 4, params)):
-        psi = abba.apply_monodromy(lam, 4, psi)[1]
+    psi = np.ones(1)  # |0>
+    for ell, lam in enumerate(reversed(abba.perturbed_singular_roots((), 4, params))):
+        psi = abba.apply_monodromy(lam, 4, ell, psi)[1]
     reference = psi / params.epsilon**4
     vec = abba.regularized_nw_vector(rs, params)
     assert np.abs(vec - reference).max() <= 1e-6 * np.abs(reference).max()
@@ -411,7 +435,7 @@ def test_nw_series_vanishes_below_eps_n(solved, nonphysical_singular):
                 continue
             c1, _ = nw_constants(s)
             series = abba._nw_series(s, c1)
-            assert series.shape == (1 << n, n * n + n + 1)
+            assert series.shape == (hilbert.binomial(n, s.ell), n * n + n + 1)
             limit = np.abs(series[:, n]).max()
             assert np.abs(series[:, :n]).max() <= 1e-10 * limit, s
             checked += 1
