@@ -27,6 +27,7 @@ cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,23 @@ class RegularizationParams:
             raise ValueError("regularization constant must be finite")
 
 
+@functools.lru_cache(maxsize=None)
+def _site_swaps(n: int, p: int) -> tuple[np.ndarray, ...]:
+    """Row gathers of P_1, ..., P_n on the C(n + 1, p) stacked rows with p down spins.
+
+    The rows are ascending indices aux * 2^n + b; P_k moves a row whose
+    aux bit differs from the bit of site k to the row with both flipped.
+    """
+    rows = hilbert._with_down_spins(n + 1, p)
+    swaps = []
+    for k in range(1, n + 1):
+        differ = ((rows >> n) ^ (rows >> (n - k))) & 1
+        swap = np.searchsorted(rows, rows ^ differ * (1 << n | 1 << (n - k)))
+        swap.flags.writeable = False
+        swaps.append(swap)
+    return tuple(swaps)
+
+
 def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
     """T(lam) on the column holding the ell-magnon ``psi`` in slot ``aux``.
 
@@ -76,14 +94,13 @@ def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
     matrix = np.ndim(lam) == 2
     # L_k = (lam - i/2) + i P_k, with -i/2 folded into the rapidity once
     shifted = lam - 0.5j * np.eye(len(lam)) if matrix else complex(lam) - 0.5j
-    rows = hilbert._with_down_spins(n + 1, ell + aux)
+    size = hilbert.binomial(n + 1, ell + aux)
     top = hilbert.binomial(n, ell + aux)
-    y = np.zeros((len(rows), *psi.shape[1:]), dtype=complex)
-    y[top * aux : top + aux * len(rows)] = psi  # rows [0, top) or [top, end)
-    for k in range(1, n + 1):
-        # P_k: a row whose aux bit differs from site k's bit flips both
-        differ = ((rows >> n) ^ (rows >> (n - k))) & 1
-        swapped = 1j * y[np.searchsorted(rows, rows ^ differ * (1 << n | 1 << (n - k)))]
+    y = np.zeros((size, *psi.shape[1:]), dtype=complex)
+    y[top * aux : top + aux * size] = psi  # rows [0, top) or [top, end)
+    for swap in _site_swaps(n, ell + aux):
+        swapped = y[swap]
+        swapped *= 1j
         y = y @ shifted if matrix else np.multiply(shifted, y, out=y)
         y += swapped
     return y[:top], y[top:]
@@ -113,6 +130,18 @@ def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
 _SPLIT_POINT = 0.9 * np.exp(0.7j)
 
 
+def _real_times(real: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """real @ z for a real matrix and a complex one, as one float64 GEMM."""
+    return (real @ np.ascontiguousarray(z).view(np.float64)).view(complex)
+
+
+def _restricted_transfer(u: complex, n: int, ell: int, basis: np.ndarray) -> np.ndarray:
+    """basis^T t(u) basis, with t = A + D; the four blocks die on return."""
+    a, _, _, d = apply_monodromy(u, n, ell, basis)
+    a += d
+    return _real_times(basis.T, a)
+
+
 def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of Lambda(u) on each highest-weight eigenstate of a sector.
 
@@ -121,21 +150,38 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
     d-dimensional highest-weight subspace (ker S^+ in the ell-magnon
     sector), which every t(u) preserves.  ``states`` has shape
     (C(n, ell), d): column k is the unit eigenvector of row k, indexed
-    like ``hilbert.sector_basis(n, ell)``.  t(u) is a degree-n polynomial
-    in u; its restricted coefficient matrices C_j come from t at the
-    n + 1 roots of unity by a discrete Fourier transform.  One generic
-    combination t(u*) = sum_j C_j u*^j is diagonalized, and since the
-    C_j commute, each eigenvector x gives every coefficient as the
-    Rayleigh quotient x^H C_j x.
+    like ``hilbert.sector_basis(n, ell)``.
+
+    On that subspace the spin is S = n/2 - ell, and the top of t(u) is
+    fixed: t(u) = 2 u^n + (3n/4 - S(S + 1)) u^(n-2) + (degree <= n - 3),
+    since the u^(n-1) term is the trace of a Pauli matrix and the
+    u^(n-2) term is -(1/2) sum_{j<k} sigma_j . sigma_k.  So t(u) minus
+    those two terms is sampled at the m = max(n - 2, 1) m-th roots of
+    unity, each node filling its slot of one preallocated stack, and
+    its restricted coefficient matrices C_j, j < m, come from a discrete
+    Fourier transform.  One generic combination sum_j C_j u*^j is
+    diagonalized, and since the C_j commute, each eigenvector x gives
+    every C_j as the Rayleigh quotient x^H C_j x; the two exact terms
+    are added back to those.
     """
     basis = hilbert.highest_weight_basis(n, ell)
-    nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    blocks = (apply_monodromy(u, n, ell, basis) for u in nodes)
-    at_nodes = np.array([basis.T @ (a + d) for a, _, _, d in blocks])
-    coeffs = np.fft.fft(at_nodes, axis=0) / (n + 1)  # coeffs[j] = C_j
-    _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(n + 1), coeffs, 1))
-    lam = np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in coeffs])
-    return lam.T, basis @ vecs
+    dim = basis.shape[1]
+    spin = n / 2 - ell
+    casimir = 0.75 * n - spin * (spin + 1)
+    m = max(n - 2, 1)
+    diag = np.arange(dim)
+    coeffs = np.empty((m, dim, dim), dtype=complex)
+    for j, u in enumerate(np.exp(2j * np.pi * np.arange(m) / m)):
+        coeffs[j] = _restricted_transfer(u, n, ell, basis)
+        coeffs[j, diag, diag] -= 2 * u**n + casimir * u ** (n - 2)
+    np.fft.fft(coeffs, axis=0, out=coeffs)
+    coeffs /= m  # coeffs[j] = C_j
+    _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), coeffs, 1))
+    lam = np.zeros((dim, n + 1), dtype=complex)
+    lam[:, :m] = np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in coeffs]).T
+    lam[:, n - 2] += casimir
+    lam[:, n] += 2
+    return lam, _real_times(basis, vecs)
 
 
 def _check_regular_roots(roots):

@@ -222,34 +222,51 @@ def classify(rootset: RootSet) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, float]:
+def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the monic degree-ell Q in Baxter's TQ relation, and its residual.
 
     Lambda(u) Q(u) = (u + i/2)^n Q(u - i) + (u - i/2)^n Q(u + i) is linear
     in the coefficients q of Q, M q = 0, so with Q monic it is a
-    least-squares problem; ``lam_coeffs`` are the coefficients of Lambda,
-    lowest first.  The residual is ||M q|| / (||M||_2 ||q||): about 1e-14
-    for a true eigenvalue, and above 1e-8 once Lambda is off by 1e-6.
+    least-squares problem.  ``lam_coeffs`` has shape (d, n + 1), one row
+    of Lambda coefficients (lowest first) per state of a sector; the
+    result is the roots, shape (d, ell), and the residuals
+    ||M q|| / (||M||_2 ||q||), shape (d,): about 1e-14 for a true
+    eigenvalue, and above 1e-8 once Lambda is off by 1e-6.
 
-    Q is solved with the real part of M, so its real roots come out
-    with imaginary part exactly 0 and its complex roots in exact
+    The Lambda-independent part of M is built once, the d matrices are
+    filled as one (d, n + ell + 1, ell + 1) stack, and the least squares
+    (QR), the spectral norms (singular values) and the roots
+    (eigenvalues of the companion matrices) each run as one stacked
+    call.  Q is solved with the real part of M, so its real roots come
+    out with imaginary part exactly 0 and its complex roots in exact
     conjugate pairs.  A root set is self-conjugate exactly when Lambda
     has real coefficients; the residual is taken against the full
     complex M, so a Lambda that is not real fails it.
     """
-    # (u + i/2)^n (u - i)^k and (u - i/2)^n (u + i)^k, highest power first;
-    # their coefficients are dyadic, so they are exact
+    # minus (u + i/2)^n (u - i)^k minus (u - i/2)^n (u + i)^k, the part of
+    # the image of u^k that does not hold Lambda; the coefficients of both
+    # products are dyadic, so they are exact
     plus, minus = np.poly([-0.5j] * n), np.poly([0.5j] * n)
-    cols = np.zeros((n + ell + 1, ell + 1), dtype=complex)
+    fixed = np.zeros((n + ell + 1, ell + 1), dtype=complex)
     for k in range(ell + 1):
-        # the image of u^k: Lambda u^k minus both products
-        cols[k : k + n + 1, k] = lam_coeffs
-        cols[: n + k + 1, k] -= (plus + minus)[::-1]
+        fixed[: n + k + 1, k] = -(plus + minus)[::-1]
         plus, minus = np.convolve(plus, [1, -1j]), np.convolve(minus, [1, 1j])
+    cols = np.repeat(fixed[None], len(lam_coeffs), axis=0)
+    for k in range(ell + 1):
+        cols[:, k : k + n + 1, k] += lam_coeffs  # Lambda u^k
     m = cols.real
-    q = np.append(np.linalg.lstsq(m[:, :ell], -m[:, ell], rcond=None)[0], 1.0)
-    residual = np.linalg.norm(cols @ q) / (np.linalg.norm(cols, 2) * np.linalg.norm(q))
-    return np.roots(q[::-1]), float(residual)
+    qr_q, qr_r = np.linalg.qr(m[:, :, :ell])
+    rhs = -np.swapaxes(qr_q, 1, 2) @ m[:, :, ell:]
+    q = np.concatenate([np.linalg.solve(qr_r, rhs)[:, :, 0], np.ones((len(m), 1))], axis=1)
+    spectral = np.linalg.svd(cols, compute_uv=False)[:, 0]
+    residual = np.linalg.norm(cols @ q[:, :, None], axis=(1, 2)) / (
+        spectral * np.linalg.norm(q, axis=1)
+    )
+    # companion matrix of u^ell + q_(ell-1) u^(ell-1) + ... + q_0, as np.roots builds it
+    companion = np.zeros((len(q), ell, ell))
+    companion[:, 0] = -q[:, ell - 1 :: -1]
+    companion[:, np.arange(1, ell), np.arange(ell - 1)] = 1.0
+    return np.linalg.eigvals(companion), residual
 
 
 # ``cfg`` is unused; kept because benchmark/spans.py binds args["cfg"]
@@ -287,8 +304,7 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     ).sum(axis=0)
 
     out = []
-    for coeffs, e_state in zip(lam_coeffs, rayleigh):
-        roots, tq_residual = _tq_roots(coeffs, n, ell)
+    for roots, tq_residual, e_state in zip(*_tq_roots(lam_coeffs, n, ell), rayleigh):
         if not tq_residual <= TQ_TOL:
             continue
         others = singular_partners(roots)
@@ -297,7 +313,7 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
             if any(min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR for z in others):
                 continue
             roots = (0.5j, -0.5j, *others)
-        rs = classify(RootSet(n, canonical_roots(roots), residual=tq_residual))
+        rs = classify(RootSet(n, canonical_roots(roots), residual=float(tq_residual)))
         if rs.classification not in (REGULAR, PHYSICAL_SINGULAR):
             continue
         e = energy.energy_of(rs)

@@ -130,8 +130,12 @@ def highest_weight_basis(n: int, ell: int) -> np.ndarray:
 
     Columns are indexed like ``sector_basis(n, ell)``.  The sector block
     of S^+, which maps ell magnons to ell - 1, is built with bit
-    operations and its null space taken by SVD; for ell <= n/2 it has
-    dimension C(n, ell) - C(n, ell - 1).
+    operations, and its null space is the eigenspace of S^- S^+ = s^T s
+    below 0.5: on spin S with S_z = n/2 - ell, S^- S^+ is
+    S(S + 1) - S_z(S_z + 1), an integer that is 0 or at least 2 for
+    ell <= n/2.  ``eigh`` gives that space without the left singular
+    vectors a full SVD would build.  For ell <= n/2 it has dimension
+    C(n, ell) - C(n, ell - 1).
     """
     idx = sector_basis(n, ell)
     if ell == 0:
@@ -147,10 +151,8 @@ def highest_weight_basis(n: int, ell: int) -> np.ndarray:
         mask = site_mask(k, n)
         down = (idx & mask) != 0
         s[pos[idx[down] ^ mask], cols[down]] = 1.0
-    _, sv, vh = np.linalg.svd(s)
-    # nonzero singular values of S^+ are square roots of positive integers
-    rank = int((sv > 0.5).sum())
-    return vh[rank:].T
+    w, v = np.linalg.eigh(s.T @ s)
+    return v[:, w < 0.5]
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +218,12 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
     """Exact spectrum of the chain as merged (energy, multiplicity) levels.
 
     H conserves the magnon number, so its spectrum is the union of the
-    spectra of the n + 1 sector blocks; each block goes through
-    ``eig_hermitian`` and its checks.  The largest block, ell = n // 2,
-    is checked against ``SECTOR_DIM_CAP`` before any eigensolve.
+    spectra of the n + 1 sector blocks.  Flipping every spin maps sector
+    ell onto sector n - ell and leaves H alone, so only the blocks with
+    ell <= n/2 are diagonalized, each through ``eig_hermitian`` and its
+    checks, and a block with ell < n/2 is counted twice.  The largest
+    block, ell = n // 2, is checked against ``SECTOR_DIM_CAP`` before any
+    eigensolve.
     """
     _check_n(n)
     largest = binomial(n, n // 2)
@@ -226,7 +231,10 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
         raise ValueError(
             f"sector dimension {largest} (n={n}, ell={n // 2}) exceeds cap {SECTOR_DIM_CAP}"
         )
-    eigs = [eig_hermitian(sector_hamiltonian(n, ell))[0] for ell in range(n + 1)]
+    eigs = []
+    for ell in range(n // 2 + 1):
+        w = eig_hermitian(sector_hamiltonian(n, ell))[0]
+        eigs += [w, w] if 2 * ell < n else [w]
     return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 

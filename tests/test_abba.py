@@ -294,6 +294,30 @@ def test_transfer_eigenvalue_matches_operator_action():
         assert np.linalg.norm(tau_psi - val * psi) <= 1e-9 * abs(val) * np.linalg.norm(psi)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_transfer_eigenpolynomials_match_full_dft(n):
+    # t(u) restricted to ker S^+ at all n + 1 roots of unity, transformed
+    # here; the package samples only max(n - 2, 1) nodes and adds the
+    # fixed 2 u^n + (3n/4 - S(S + 1)) u^(n-2) back by hand
+    nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    for ell in range(n // 2 + 1):
+        coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+        basis = hilbert.highest_weight_basis(n, ell)
+        at_nodes = []
+        for u in nodes:
+            a, _, _, d = abba.apply_monodromy(u, n, ell, basis)
+            at_nodes.append(basis.T @ (a + d))
+        full = np.fft.fft(np.array(at_nodes), axis=0) / (n + 1)
+        eye = np.eye(basis.shape[1])
+        spin = n / 2 - ell
+        assert np.abs(full[n] - 2 * eye).max() <= 1e-12
+        assert np.abs(full[n - 1]).max() <= 1e-12
+        assert np.abs(full[n - 2] - (0.75 * n - spin * (spin + 1)) * eye).max() <= 1e-12
+        x = basis.T @ states
+        from_dft = np.array([((c @ x) * x.conj()).sum(axis=0) for c in full]).T
+        assert np.abs(coeffs - from_dft).max() <= 1e-12 * max(1.0, np.abs(from_dft).max())
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_transfer_eigenpolynomials_match_solved_states(ell, solved):
     n = 6

@@ -7,6 +7,7 @@ import pytest
 from bethe_lab import abba, baesolver as bs
 
 import mp_newton
+import tq_reference
 from multiset import multiset_eq
 
 SQ12 = 1 / math.sqrt(12)
@@ -277,6 +278,19 @@ def test_reported_root_sets_pass_float64_or_50_digit_newton(solved):
     assert by_newton  # the n = 10 narrow strings need the 50-digit step
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stacked_tq_roots_match_per_state_reference(n):
+    for ell in range(1, n // 2 + 1):
+        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell)
+        roots, residuals = bs._tq_roots(lam_coeffs, n, ell)
+        assert roots.shape == (len(lam_coeffs), ell)
+        assert residuals.shape == (len(lam_coeffs),)
+        for coeffs, got, residual in zip(lam_coeffs, roots, residuals):
+            ref, ref_residual = tq_reference.tq_roots(coeffs, n, ell)
+            assert multiset_eq(got, ref, 1e-12), (n, ell, got, ref)
+            assert residual <= bs.TQ_TOL and ref_residual <= bs.TQ_TOL, (residual, ref_residual)
+
+
 def _perturbed(lam_coeffs, rel, seed):
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=lam_coeffs.shape) + 1j * rng.normal(size=lam_coeffs.shape)
@@ -287,10 +301,10 @@ def _perturbed(lam_coeffs, rel, seed):
 def test_tq_check_drops_perturbed_eigenvalues(n, ell, monkeypatch):
     lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
     noisy = _perturbed(lam_coeffs, 1e-6, seed=(n, ell))
-    for coeffs in lam_coeffs:
-        assert bs._tq_roots(coeffs, n, ell)[1] <= bs.TQ_TOL
-    for coeffs in noisy:
-        assert bs._tq_roots(coeffs, n, ell)[1] > 1e3 * bs.TQ_TOL
+    for residual in bs._tq_roots(lam_coeffs, n, ell)[1]:
+        assert residual <= bs.TQ_TOL
+    for residual in bs._tq_roots(noisy, n, ell)[1]:
+        assert residual > 1e3 * bs.TQ_TOL
     # the eigenvectors are untouched, so for some states the energy of
     # the shifted roots still passes; only the TQ check drops those
     monkeypatch.setattr(abba, "transfer_eigenpolynomials", lambda *_: (noisy, states))
@@ -301,6 +315,7 @@ def test_tq_check_drops_perturbed_eigenvalues(n, ell, monkeypatch):
 def test_energy_check_drops_swapped_eigenvectors(n, ell, solved, monkeypatch):
     from bethe_lab import hilbert
 
+    full = solved(n, ell)  # before the patch: the fixture solves on first use
     lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
     h = hilbert.sector_hamiltonian(n, ell)
     energies = (states.conj() * (h @ states)).sum(axis=0).real
@@ -313,8 +328,7 @@ def test_energy_check_drops_swapped_eigenvectors(n, ell, solved, monkeypatch):
     swapped[:, [a, b]] = states[:, [b, a]]
     monkeypatch.setattr(abba, "transfer_eigenpolynomials", lambda *_: (lam_coeffs, swapped))
     kept = bs.solve_sector(n, ell)
-    dropped = [bs._tq_roots(lam_coeffs[k], n, ell)[0] for k in (a, b)]
-    full = solved(n, ell)
+    dropped = bs._tq_roots(lam_coeffs[[a, b]], n, ell)[0]
     assert len(kept) == len(full) - 2
     for s in full:
         gone = any(multiset_eq(s.roots, roots, 1e-6) for roots in dropped)

@@ -170,6 +170,15 @@ def test_exact_spectrum_matches_dense_reference(n):
     assert sum(e.multiplicity for e in sector) == 2**n
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spin_flip_maps_sector_onto_its_mirror(n):
+    # flipping every spin reverses the ascending sector basis, so the
+    # (n, n - ell) block is the (n, ell) block read backwards
+    for ell in range(n + 1):
+        mirror = hilbert.sector_hamiltonian(n, ell)[::-1, ::-1]
+        assert np.array_equal(hilbert.sector_hamiltonian(n, n - ell), mirror)
+
+
 def test_translation_commutes_with_hamiltonian():
     for n in (3, 6, 8):
         h = hilbert.hamiltonian(n)
