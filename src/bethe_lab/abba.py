@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .baesolver import RootSet, TOL_EQUAL, TOL_SINGULAR, _has_duplicates, singular_partners
+from .baesolver import RootSet, singular_partners
 
 # eigen-residual below which the eps^n coefficient of the regularized
 # product is an eigenvector: ~1e-12 for physical singular solutions,
@@ -44,10 +44,6 @@ LIMIT_TOL = 1e-8
 
 class PoleError(ValueError):
     """Evaluation requested at a pole of the expression."""
-
-
-class SingularRootError(ValueError):
-    """Plain Bethe vector is undefined at the pair {i/2, -i/2}."""
 
 
 @dataclass(frozen=True)
@@ -182,35 +178,6 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
     lam[:, n - 2] += casimir
     lam[:, n] += 2
     return lam, _real_times(basis, vecs)
-
-
-def _check_regular_roots(roots):
-    roots = [complex(z) for z in roots]
-    if _has_duplicates(roots, TOL_EQUAL):
-        raise ValueError(f"coinciding rapidities in {roots}")
-    for z in roots:
-        if min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR:
-            raise SingularRootError(
-                "rapidity at +/- i/2; build the state with regularized_nw_vector"
-            )
-    return roots
-
-
-def bethe_vector(rootset: RootSet) -> np.ndarray:
-    """B(L_1) ... B(L_ell) |0>, in sector coordinates of the ell-magnon sector."""
-    roots = _check_regular_roots(rootset.roots)
-    psi = np.ones(1, dtype=complex)  # |0>, the one state of sector 0
-    for ell, lam in enumerate(roots):
-        psi = _column(lam, rootset.n, ell, psi, 1)[0]
-    return psi
-
-
-def perturbed_singular_roots(others, n: int, params: RegularizationParams):
-    """Regularized rapidity list (L1, L2, L3, ...) for a singular solution."""
-    eps = params.epsilon
-    lam1 = 0.5j + eps + params.c * eps**n
-    lam2 = -0.5j + eps
-    return [lam1, lam2, *[complex(z) for z in others]]
 
 
 def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:

@@ -11,30 +11,26 @@ way carry the finite energy
 
 and both are cross-checked here against the independent route
 
-    E = (J/2) (i d/dL log Lambda(L)|_{L=i/2} - n)
+    E = (J/2) (i d/dL log Lambda(L)|_{L=i/2} - n),
 
-with the derivative taken by central differences of the transfer-matrix
-eigenvalue, extrapolated to epsilon = 0 at second order for the
-singular case.  There is no coupling parameter: every energy is in
-units of J.
+evaluated exactly: at L = i/2 only the first term of the transfer
+eigenvalue Lambda = a + d contributes to the log-derivative, and the
+singular pair enters it through its finite combined factor.  There is
+no coupling parameter: every energy is in units of J.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .abba import RegularizationParams, perturbed_singular_roots, transfer_eigenvalue
-from .baesolver import PHYSICAL_SINGULAR, REGULAR, RootSet, nw_constants, singular_partners
+# transfer_eigenvalue is not called here; benchmark/spans.py traces this
+# module's binding of it by name
+from .abba import PoleError, transfer_eigenvalue  # noqa: F401
+from .baesolver import PHYSICAL_SINGULAR, REGULAR, RootSet, singular_partners
 
 REGULAR_FORMULA = "regular_formula"
 NW_THEOREM = "nw_theorem"
 LAMBDA_LOGDERIV = "lambda_logderiv"
-
-# epsilons at which a singular set is regularized before extrapolation,
-# and the central-difference step of the log-derivative
-_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
-_H = 1e-6
 
 
 class DegenerateDenominatorError(ZeroDivisionError):
@@ -82,39 +78,40 @@ def energy_of(rootset: RootSet) -> EnergyResult:
     raise ValueError(f"no energy defined for classification {rootset.classification!r}")
 
 
-def _logderiv_value(roots, n: int) -> complex:
-    lam0 = 0.5j
-    lam_val = transfer_eigenvalue(lam0, roots, n)
-    if abs(lam_val) < 1e-100:
-        raise DegenerateDenominatorError(
-            "transfer eigenvalue vanishes at i/2; cannot form the log-derivative"
-        )
-    deriv = (
-        transfer_eigenvalue(lam0 + _H, roots, n)
-        - transfer_eigenvalue(lam0 - _H, roots, n)
-    ) / (2.0 * _H)
-    return 0.5 * (1j * deriv / lam_val - n)
+def energy_logderiv(rootset: RootSet) -> EnergyResult:
+    """Energy (1/2)(i (log Lambda)'(i/2) - n), in units of J, with no limit to take.
 
+    Near u = i/2, Lambda = a + d with
 
-def energy_logderiv(rootset: RootSet, c: complex | None = None) -> EnergyResult:
-    """Energy via the log-derivative of the transfer eigenvalue at i/2.
+        a(u) = (u + i/2)^n prod_j (u - L_j - i)/(u - L_j),
 
-    Regular sets are evaluated directly; singular ones are evaluated on
-    the roots regularized with the constant ``c`` (default: c1 of
-    ``nw_constants``) for each epsilon of the ladder, and the quadratic
-    through all three values is evaluated at eps = 0, so the error terms
-    in eps and eps^2 cancel.
+    and d and d' vanish at i/2: for n >= 2 on a regular set, and for
+    n >= 3 on a set holding the pair {i/2, -i/2}, where
+    d = (u - i/2)^(n-1) (u + 3i/2) prod' over the other roots.  So
+
+        (log Lambda)'(i/2) = n/(u + i/2) + sum_j [1/(u - L_j - i) - 1/(u - L_j)]
+
+    at u = i/2, with the pair's two terms replaced by those of its
+    combined factor (u - 3i/2)/(u + i/2).  A regularization constant
+    enters the eps -> 0 limit only as c eps^(n-2), so none is needed.
     """
     n = rootset.n
     others = singular_partners(rootset.roots)
+    if n < 2 or (others is not None and n < 3):
+        raise ValueError(f"log-derivative at i/2 needs n >= 2, n >= 3 with the pair; got n={n}")
+    u = 0.5j
+    deriv = n / (u + 0.5j)
     if others is None:
-        return _pack(_logderiv_value(rootset.roots, n), LAMBDA_LOGDERIV)
-    if c is None:
-        c = nw_constants(rootset)[0]
-    extrap = 0j
-    for eps in _EPS_LADDER:
-        roots = perturbed_singular_roots(others, n, RegularizationParams(eps, c))
-        # Lagrange weight of this rung at eps = 0
-        weight = math.prod(e / (e - eps) for e in _EPS_LADDER if e != eps)
-        extrap += weight * _logderiv_value(roots, n)
-    return _pack(extrap, LAMBDA_LOGDERIV)
+        others = rootset.roots
+    else:
+        deriv += 1 / (u - 1.5j) - 1 / (u + 0.5j)
+    for z in others:
+        z = complex(z)
+        if abs(u - z) < 1e-12:
+            raise PoleError(f"evaluation point collides with root {z}")
+        if abs(u - z - 1j) < 1e-12:
+            raise DegenerateDenominatorError(
+                "transfer eigenvalue vanishes at i/2; cannot form the log-derivative"
+            )
+        deriv += 1 / (u - z - 1j) - 1 / (u - z)
+    return _pack(0.5 * (1j * deriv - n), LAMBDA_LOGDERIV)

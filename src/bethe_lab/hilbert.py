@@ -53,14 +53,6 @@ def site_mask(k: int, n: int) -> int:
     return 1 << (n - k)
 
 
-def vacuum_state(n: int) -> np.ndarray:
-    """All-spins-up product state, the pseudo-vacuum |0>."""
-    _check_n(n)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
 def hamiltonian(n: int) -> np.ndarray:
     """Dense XXX Hamiltonian (J/4) sum_k (sigma_k.sigma_{k+1} - 1), periodic.
 

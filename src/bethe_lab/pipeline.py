@@ -2,7 +2,7 @@
 
 The pipeline solves every magnon sector of a chain, attaches energies
 (closed regular formula, singular-state formula, and the log-derivative
-cross-checks), diagonalizes the Hamiltonian sector by sector, and
+cross-check), diagonalizes the Hamiltonian sector by sector, and
 reconciles the two spectra: regular Bethe states carry multiplicity
 n - 2 ell + 1, the levels they miss must be covered exactly by the
 physical singular states.  All energies are stored in units of J.
@@ -22,7 +22,7 @@ import numpy as np
 from . import baesolver, energy, hilbert, rigged
 
 SPECTRAL_CLOSURE_TOL = 1e-5
-SCHEMA_VERSION = "bethe-lab/3"
+SCHEMA_VERSION = "bethe-lab/4"
 
 EXIT_OK = 0
 EXIT_COUNT_SHORTFALL = 2
@@ -95,15 +95,11 @@ def multiset_subtract(
 
 def _nw_details(rootset: baesolver.RootSet) -> dict:
     c1, c2 = baesolver.nw_constants(rootset)
-    details = {
+    return {
         "c1": complex(c1),
         "c2": complex(c2),
-        "energy_logderiv_c1": energy.energy_logderiv(rootset, c1).energy,
-        # the naive (c = 0) regularization is reported for comparison
-        # only; it is known to corrupt the eigenvectors
-        "energy_logderiv_naive": energy.energy_logderiv(rootset, 0j).energy,
+        "energy_logderiv": energy.energy_logderiv(rootset).energy,
     }
-    return details
 
 
 def _sector_report(n: int, ell: int) -> SectorReport:
@@ -192,7 +188,7 @@ def _levels_json(levels) -> list[dict]:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready dict with stable field order (schema bethe-lab/3)."""
+    """JSON-ready dict with stable field order (schema ``SCHEMA_VERSION``)."""
     sectors = []
     for sec in report.sectors:
         sols = []
@@ -210,10 +206,7 @@ def report_to_dict(report: RunReport) -> dict:
                 item["nw"] = {
                     "c1": _cnum(rec.nw_details["c1"]),
                     "c2": _cnum(rec.nw_details["c2"]),
-                    "energy_logderiv_c1": _sig12(rec.nw_details["energy_logderiv_c1"]),
-                    "energy_logderiv_naive": _sig12(
-                        rec.nw_details["energy_logderiv_naive"]
-                    ),
+                    "energy_logderiv": _sig12(rec.nw_details["energy_logderiv"]),
                 }
             sols.append(item)
         entry = {"ell": sec.ell, "rc_count": sec.rc_count, "solutions": sols}

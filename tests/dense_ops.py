@@ -1,12 +1,16 @@
-"""Dense 2^n x 2^n operators, kept only as independent references for tests.
+"""Dense 2^n x 2^n operators and other references kept only for tests.
 
 The package works on state vectors and magnon sectors and never builds
 these matrices; the tests build them, for small n, to check the
-package's operators against the textbook definitions.
+package's operators against the textbook definitions.  The plain Bethe
+vector, the regularized rapidity list and the epsilon-ladder
+log-derivative energy live here too: the package's run needs none of
+them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +19,18 @@ from bethe_lab import hilbert
 from bethe_lab.abba import (
     PoleError,
     RegularizationParams,
+    _column,
     apply_monodromy,
-    perturbed_singular_roots,
+    transfer_eigenvalue,
 )
-from bethe_lab.baesolver import RootSet, nw_constants, singular_partners
+from bethe_lab.baesolver import (
+    TOL_EQUAL,
+    TOL_SINGULAR,
+    RootSet,
+    _has_duplicates,
+    nw_constants,
+    singular_partners,
+)
 
 PAULI = {
     1: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -41,6 +53,14 @@ def pauli_site(a: int, k: int, n: int) -> np.ndarray:
     left = np.eye(1 << (k - 1), dtype=complex)
     right = np.eye(1 << (n - k), dtype=complex)
     return np.kron(np.kron(left, PAULI[a]), right)
+
+
+def vacuum_state(n: int) -> np.ndarray:
+    """All-spins-up product state, the pseudo-vacuum |0>."""
+    hilbert._check_n(n)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    return psi
 
 
 def translation_matrix(n: int) -> np.ndarray:
@@ -93,6 +113,39 @@ class MonodromyBlocks:
     @property
     def tau(self) -> np.ndarray:
         return self.a + self.d
+
+
+class SingularRootError(ValueError):
+    """Plain Bethe vector is undefined at the pair {i/2, -i/2}."""
+
+
+def _check_regular_roots(roots):
+    roots = [complex(z) for z in roots]
+    if _has_duplicates(roots, TOL_EQUAL):
+        raise ValueError(f"coinciding rapidities in {roots}")
+    for z in roots:
+        if min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR:
+            raise SingularRootError(
+                "rapidity at +/- i/2; build the state with regularized_nw_vector"
+            )
+    return roots
+
+
+def bethe_vector(rootset: RootSet) -> np.ndarray:
+    """B(L_1) ... B(L_ell) |0>, in sector coordinates of the ell-magnon sector."""
+    roots = _check_regular_roots(rootset.roots)
+    psi = np.ones(1, dtype=complex)  # |0>, the one state of sector 0
+    for ell, lam in enumerate(roots):
+        psi = _column(lam, rootset.n, ell, psi, 1)[0]
+    return psi
+
+
+def perturbed_singular_roots(others, n: int, params: RegularizationParams):
+    """Regularized rapidity list (L1, L2, L3, ...) for a singular solution."""
+    eps = params.epsilon
+    lam1 = 0.5j + eps + params.c * eps**n
+    lam2 = -0.5j + eps
+    return [lam1, lam2, *[complex(z) for z in others]]
 
 
 def r_matrix(lam: complex) -> np.ndarray:
@@ -203,3 +256,40 @@ def derivation_step_ratios(rootset: RootSet, epsilon: float) -> tuple[complex, c
             aj *= (lam0 - z - 1j) / (lam0 - z)
         pair_sum += aj
     return a0 / denom, pair_sum / denom
+
+
+# epsilons at which ladder_logderiv regularizes a singular set, and the
+# central-difference step of its log-derivative
+_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
+_H = 1e-6
+
+
+def _logderiv_value(roots, n: int) -> complex:
+    lam0 = 0.5j
+    deriv = (
+        transfer_eigenvalue(lam0 + _H, roots, n) - transfer_eigenvalue(lam0 - _H, roots, n)
+    ) / (2.0 * _H)
+    return 0.5 * (1j * deriv / transfer_eigenvalue(lam0, roots, n) - n)
+
+
+def ladder_logderiv(rootset: RootSet, c: complex) -> float:
+    """Log-derivative energy of a singular set as an eps -> 0 extrapolation.
+
+    The set is regularized with the constant ``c`` at each epsilon of
+    the ladder, (1/2)(i Lambda'/Lambda - n) is taken at i/2 with a
+    central difference of step ``_H``, and the quadratic through the
+    three values is evaluated at eps = 0, so the error terms in eps and
+    eps^2 cancel.  It is the numerical reference for the exact
+    ``energy.energy_logderiv``.
+    """
+    n = rootset.n
+    others = singular_partners(rootset.roots)
+    if others is None:
+        raise ValueError("the ladder is defined for singular root sets")
+    extrap = 0j
+    for eps in _EPS_LADDER:
+        roots = perturbed_singular_roots(others, n, RegularizationParams(eps, c))
+        # Lagrange weight of this rung at eps = 0
+        weight = math.prod(e / (e - eps) for e in _EPS_LADDER if e != eps)
+        extrap += weight * _logderiv_value(roots, n)
+    return float(extrap.real)

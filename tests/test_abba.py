@@ -117,7 +117,7 @@ def test_vacuum_eigenactions():
     # n = 14 is the default cap, one bit less than the column stack has
     for n in (1, 3, 6, 14):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        vac = hilbert.vacuum_state(n)
+        vac = dense_ops.vacuum_state(n)
         a, b, c, d = abba.apply_monodromy(lam, n, 0, np.ones(1))
         assert np.allclose(dense_ops.embed(n, 0, a), (lam + 0.5j) ** n * vac, atol=1e-12)
         assert np.allclose(dense_ops.embed(n, 0, d), (lam - 0.5j) ** n * vac, atol=1e-12)
@@ -160,10 +160,10 @@ def test_bethe_vector_matches_dense_b_product(n):
     # off-shell rapidities: the B-only column product must still equal
     # B(L_1) ... B(L_ell) |0> from the dense blocks
     lams = _random_lams(3 if n >= 6 else 2, seed=50 + n)
-    psi = hilbert.vacuum_state(n).astype(complex)
+    psi = dense_ops.vacuum_state(n).astype(complex)
     for lam in lams:
         psi = dense_ops.monodromy(lam, n).b @ psi
-    got = dense_ops.embed(n, len(lams), abba.bethe_vector(RootSet(n, tuple(lams))))
+    got = dense_ops.embed(n, len(lams), dense_ops.bethe_vector(RootSet(n, tuple(lams))))
     assert np.abs(got - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
@@ -206,37 +206,37 @@ def test_hamiltonian_reconstruction_from_transfer_matrix():
 
 
 def test_bethe_vector_empty_product_is_vacuum():
-    psi = dense_ops.embed(4, 0, abba.bethe_vector(RootSet(4, ())))
-    assert np.allclose(psi, hilbert.vacuum_state(4))
+    psi = dense_ops.embed(4, 0, dense_ops.bethe_vector(RootSet(4, ())))
+    assert np.allclose(psi, dense_ops.vacuum_state(4))
 
 
 def test_four_site_single_magnon_row():
-    psi = dense_ops.embed(4, 1, abba.bethe_vector(RootSet(4, (0.5,))))
+    psi = dense_ops.embed(4, 1, dense_ops.bethe_vector(RootSet(4, (0.5,))))
     h = hilbert.hamiltonian(4)
     assert np.linalg.norm(h @ psi + psi) <= 1e-9 * np.linalg.norm(psi)
 
 
 def test_four_site_two_magnon_row():
     roots = RootSet(4, (1 / math.sqrt(12), -1 / math.sqrt(12)))
-    psi = dense_ops.embed(4, 2, abba.bethe_vector(roots))
+    psi = dense_ops.embed(4, 2, dense_ops.bethe_vector(roots))
     h = hilbert.hamiltonian(4)
     assert np.linalg.norm(h @ psi + 3 * psi) <= 1e-9 * np.linalg.norm(psi)
 
 
 def test_bethe_vector_rejects_coinciding_roots():
     with pytest.raises(ValueError):
-        abba.bethe_vector(RootSet(4, (0.3, 0.3)))
+        dense_ops.bethe_vector(RootSet(4, (0.3, 0.3)))
 
 
 def test_bethe_vector_routes_singular_pair_to_regularization():
-    with pytest.raises(abba.SingularRootError):
-        abba.bethe_vector(RootSet(4, (0.5j, -0.5j)))
+    with pytest.raises(dense_ops.SingularRootError):
+        dense_ops.bethe_vector(RootSet(4, (0.5j, -0.5j)))
 
 
 def test_bethe_vector_sector_placement():
     roots = RootSet(6, (0.582004, -0.094167))
-    assert abba.bethe_vector(roots).shape == (hilbert.binomial(6, 2),)
-    psi = dense_ops.embed(6, 2, abba.bethe_vector(roots))
+    assert dense_ops.bethe_vector(roots).shape == (hilbert.binomial(6, 2),)
+    psi = dense_ops.embed(6, 2, dense_ops.bethe_vector(roots))
     counts = np.array([int(b).bit_count() for b in range(64)])
     outside = np.abs(psi[counts != 2]).max()
     assert outside <= 1e-12 * np.abs(psi).max()
@@ -244,7 +244,7 @@ def test_bethe_vector_sector_placement():
 
 def test_bethe_vector_is_highest_weight():
     roots = RootSet(6, (0.5 * math.tan(math.pi / 3) ** -1,))  # cot(pi/3)/2
-    psi = dense_ops.embed(6, 1, abba.bethe_vector(roots))
+    psi = dense_ops.embed(6, 1, dense_ops.bethe_vector(roots))
     raised = dense_ops.raising_operator(6) @ psi
     assert np.linalg.norm(raised) <= 1e-8 * np.linalg.norm(psi)
 
@@ -286,7 +286,7 @@ def test_transfer_eigenvalue_pole_on_root():
 
 def test_transfer_eigenvalue_matches_operator_action():
     roots = RootSet(4, (1 / math.sqrt(12), -1 / math.sqrt(12)))
-    psi = abba.bethe_vector(roots)
+    psi = dense_ops.bethe_vector(roots)
     for lam in _random_lams(5, seed=18):
         a, _, _, d = abba.apply_monodromy(lam, 4, 2, psi)
         tau_psi = a + d
@@ -364,7 +364,7 @@ def test_unwanted_term_epsilon_scaling(n, scheme, k):
     lam = 0.37 - 0.22j
     ratios = []
     for eps in (1e-2, 5e-3):
-        pr = abba.perturbed_singular_roots((), n, abba.RegularizationParams(eps, c))
+        pr = dense_ops.perturbed_singular_roots((), n, abba.RegularizationParams(eps, c))
         coeff = dense_ops.unwanted_term(lam, k, pr, n)
         ratios.append(abs(coeff * (lam - pr[k]) / eps ** (n + 1)))
     assert abs(ratios[0] - ratios[1]) <= 0.1 * ratios[0]
@@ -442,7 +442,7 @@ def test_series_matches_direct_float_product():
     c1, _ = nw_constants(rs)
     params = abba.RegularizationParams(1e-2, c1)
     psi = np.ones(1)  # |0>
-    for ell, lam in enumerate(reversed(abba.perturbed_singular_roots((), 4, params))):
+    for ell, lam in enumerate(reversed(dense_ops.perturbed_singular_roots((), 4, params))):
         psi = abba.apply_monodromy(lam, 4, ell, psi)[1]
     reference = psi / params.epsilon**4
     vec = abba.regularized_nw_vector(rs, params)

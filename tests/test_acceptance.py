@@ -219,7 +219,7 @@ def test_criterion_09_eigenvalue_identity(solved):
             for s in solved(n, ell):
                 if s.classification != bs.REGULAR:
                     continue
-                psi = abba.bethe_vector(s)
+                psi = dense_ops.bethe_vector(s)
                 norm = np.linalg.norm(psi)
                 for _ in range(5):
                     lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

@@ -17,7 +17,7 @@ def test_run_subcommand_writes_report(tmp_path, capsys):
     code = cli.main(["run", "--n", "4", "--out", str(out), "--csv", str(csv_out)])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["n"] == 4 and data["schema"] == "bethe-lab/3"
+    assert data["n"] == 4 and data["schema"] == "bethe-lab/4"
     assert csv_out.exists()
     assert "audit" in capsys.readouterr().out
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bethe_lab import baesolver as bs, energy, hilbert
+from bethe_lab.abba import PoleError
 from bethe_lab.baesolver import RootSet
 
 import dense_ops
@@ -66,7 +67,7 @@ def test_logderiv_vacuum():
 def test_logderiv_regular_agreement():
     roots = RootSet(4, (SQ12, -SQ12), bs.REGULAR, 0.0)
     res = energy.energy_logderiv(roots)
-    assert abs(res.energy + 3.0) <= 1e-8
+    assert abs(res.energy + 3.0) <= 1e-12
     assert res.method == energy.LAMBDA_LOGDERIV
 
 
@@ -78,14 +79,14 @@ def test_logderiv_agreement_for_solved_sectors(solved):
                     continue
                 reference = energy.energy_regular(s).energy
                 via_lambda = energy.energy_logderiv(s).energy
-                assert abs(via_lambda - reference) <= 1e-6 * max(1.0, abs(reference))
+                assert abs(via_lambda - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_logderiv_singular_extrapolation():
     res = energy.energy_logderiv(RootSet(4, (0.5j, -0.5j)))
-    assert abs(res.energy + 1.0) <= 1e-6
+    assert abs(res.energy + 1.0) <= 1e-12
     res6 = energy.energy_logderiv(RootSet(6, (0.5j, 0.0, -0.5j)))
-    assert abs(res6.energy + 3.0) <= 1e-6
+    assert abs(res6.energy + 3.0) <= 1e-12
 
 
 def test_logderiv_singular_agreement_for_solved_sectors(solved):
@@ -96,7 +97,7 @@ def test_logderiv_singular_agreement_for_solved_sectors(solved):
                     continue
                 reference = energy.energy_nw(s).energy
                 via_lambda = energy.energy_logderiv(s).energy
-                assert abs(via_lambda - reference) <= 1e-6 * max(1.0, abs(reference))
+                assert abs(via_lambda - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_every_bethe_energy_appears_in_exact_spectrum(solved):
@@ -140,10 +141,30 @@ def test_logderiv_degenerate_denominator():
     # transfer eigenvalue at i/2
     with pytest.raises(energy.DegenerateDenominatorError):
         energy.energy_logderiv(RootSet(4, (-0.5j, 0.7)))
+    # a lone root at +i/2 is a pole of the transfer eigenvalue there
+    with pytest.raises(PoleError):
+        energy.energy_logderiv(RootSet(4, (0.5j, 0.7)))
+    # below n = 3 the second term of Lambda does not vanish to second
+    # order at i/2 on a set holding the pair, and below n = 2 on any set
+    with pytest.raises(ValueError):
+        energy.energy_logderiv(RootSet(2, (0.5j, -0.5j)))
+    with pytest.raises(ValueError):
+        energy.energy_logderiv(RootSet(1, ()))
 
 
-def test_naive_scheme_energy_is_reported_not_asserted():
-    # the naive constant-free regularization is reported for comparison;
-    # for the bare pair it happens to land on the same energy
-    res = energy.energy_logderiv(RootSet(4, (0.5j, -0.5j)), 0j)
-    assert math.isfinite(res.energy)
+def test_ladder_reference_matches_exact_logderiv_for_any_c(solved):
+    # the eps -> 0 limit of the regularized log-derivative does not
+    # depend on the regularization constant: the central-difference,
+    # three-rung ladder lands on the exact value for c = c1 and c = 0
+    singular = [
+        s
+        for n in range(4, 11)
+        for ell in range(2, n // 2 + 1)
+        for s in solved(n, ell)
+        if s.classification == bs.PHYSICAL_SINGULAR
+    ]
+    assert len(singular) == 20
+    for s in singular:
+        exact = energy.energy_logderiv(s).energy
+        for c in (bs.nw_constants(s)[0], 0j):
+            assert abs(dense_ops.ladder_logderiv(s, c) - exact) <= 1e-8

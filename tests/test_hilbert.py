@@ -54,7 +54,7 @@ def test_four_site_chain_spectrum_multiplicities():
 def test_hamiltonian_annihilates_vacuum():
     for n in (2, 3, 5):
         h = hilbert.hamiltonian(n)
-        assert np.allclose(h @ hilbert.vacuum_state(n), 0.0)
+        assert np.allclose(h @ dense_ops.vacuum_state(n), 0.0)
 
 
 def test_hamiltonian_matches_pauli_sum_construction():
@@ -198,7 +198,7 @@ def test_chain_length_cap(monkeypatch):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "4")
     assert hilbert.max_chain_length() == 4
     with pytest.raises(ValueError):
-        hilbert.vacuum_state(5)
+        hilbert.sector_basis(5, 0)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
@@ -211,9 +211,9 @@ def test_chain_length_cap_rejects_bad_env(monkeypatch, raw):
 def test_chain_length_cap_honours_env(monkeypatch):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "16")
     assert hilbert.max_chain_length() == 16
-    hilbert.vacuum_state(16)  # 2**16 entries; above the default cap of 14
+    hilbert.sector_basis(16, 0)  # scans 2**16 indices; above the default cap of 14
     with pytest.raises(ValueError, match=r"\[1, 16\]"):
-        hilbert.vacuum_state(17)
+        hilbert.sector_basis(17, 0)
 
 
 def test_sector_dimension_cap(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bethe_lab import baesolver as bs, pipeline
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +53,7 @@ def test_report_round_trip(report4, tmp_path):
     emitted = pipeline.emit_report(report4, str(path))
     parsed = json.loads(path.read_text())
     assert parsed == emitted
-    assert parsed["schema"] == "bethe-lab/3"
+    assert parsed["schema"] == "bethe-lab/4"
     # root sets survive the round trip
     rootsets = pipeline.rootsets_from_report(parsed)
     originals = [rec.rootset for sec in report4.sectors for rec in sec.solutions]
@@ -141,6 +143,28 @@ def test_run_passes_every_audit(n):
     assert rep.exit_code == pipeline.EXIT_OK
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_nw_logderiv_equals_reported_energy(n):
+    # the exact log-derivative of Lambda and the closed singular-state
+    # formula are two routes to one number
+    records = [
+        rec
+        for sec in pipeline.run_pipeline(n).sectors
+        for rec in sec.solutions
+        if rec.nw_details is not None
+    ]
+    for rec in records:
+        e = rec.energy.energy
+        assert abs(rec.nw_details["energy_logderiv"] - e) <= 1e-12 * max(1.0, abs(e))
+
+
+def test_readme_schema_matches_package():
+    text = README.read_text()
+    heading = re.findall(r"^## Report schema \(`([^`]+)`\)$", text, re.M)
+    line = re.findall(r'^schema\s+"([^"]+)"$', text, re.M)
+    assert heading == line == [pipeline.SCHEMA_VERSION]
+
+
 def test_spectral_closure_multiset():
     for n in (4, 6, 8):
         rep = pipeline.run_pipeline(n)
@@ -192,5 +216,4 @@ def test_report_matches_reference(n):
                 for key in ("c1", "c2"):
                     for part in ("re", "im"):
                         assert _close(g["nw"][key][part], w["nw"][key][part], 1e-9)
-                for key in ("energy_logderiv_c1", "energy_logderiv_naive"):
-                    assert _close(g["nw"][key], w["nw"][key], 1e-9)
+                assert _close(g["nw"]["energy_logderiv"], w["nw"]["energy_logderiv"], 1e-9)
