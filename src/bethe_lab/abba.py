@@ -121,21 +121,10 @@ def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
     return a, b, c, d
 
 
-# generic point at which the restricted transfer matrix is diagonalized;
-# any point that separates the eigenvalues of t(u) will do
+# generic point at which the transfer matrix is diagonalized on each
+# momentum block; any point that separates the eigenvalues of t(u) on
+# every block will do
 _SPLIT_POINT = 0.9 * np.exp(0.7j)
-
-
-def _real_times(real: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """real @ z for a real matrix and a complex one, as one float64 GEMM."""
-    return (real @ np.ascontiguousarray(z).view(np.float64)).view(complex)
-
-
-def _restricted_transfer(u: complex, n: int, ell: int, basis: np.ndarray) -> np.ndarray:
-    """basis^T t(u) basis, with t = A + D; the four blocks die on return."""
-    a, _, _, d = apply_monodromy(u, n, ell, basis)
-    a += d
-    return _real_times(basis.T, a)
 
 
 def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,38 +135,54 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
     d-dimensional highest-weight subspace (ker S^+ in the ell-magnon
     sector), which every t(u) preserves.  ``states`` has shape
     (C(n, ell), d): column k is the unit eigenvector of row k, indexed
-    like ``hilbert.sector_basis(n, ell)``.
+    like ``hilbert.sector_basis(n, ell)``.  The rows are grouped by
+    momentum q = 0..n-1.
+
+    t(u) commutes with the one-site shift U, so it is diagonalized on
+    each momentum block (ell, q) separately: the monodromy runs on the
+    o ~ C(n, ell)/n orbit representatives |r> only, and
+    ``hilbert.momentum_blocks`` turns t(u)|r> into every block T_q(u),
+    which is restricted to the block's ker S^+ basis W_q
+    (``hilbert.highest_weight_blocks``) as W_q^H T_q(u) W_q.
 
     On that subspace the spin is S = n/2 - ell, and the top of t(u) is
     fixed: t(u) = 2 u^n + (3n/4 - S(S + 1)) u^(n-2) + (degree <= n - 3),
     since the u^(n-1) term is the trace of a Pauli matrix and the
     u^(n-2) term is -(1/2) sum_{j<k} sigma_j . sigma_k.  So t(u) minus
     those two terms is sampled at the m = max(n - 2, 1) m-th roots of
-    unity, each node filling its slot of one preallocated stack, and
-    its restricted coefficient matrices C_j, j < m, come from a discrete
-    Fourier transform.  One generic combination sum_j C_j u*^j is
-    diagonalized, and since the C_j commute, each eigenvector x gives
-    every C_j as the Rayleigh quotient x^H C_j x; the two exact terms
-    are added back to those.
+    unity, and each block's restricted coefficient matrices C_j, j < m,
+    come from a discrete Fourier transform.  One generic combination
+    sum_j C_j u*^j is diagonalized per block, and since the C_j commute,
+    each eigenvector x gives every C_j as the Rayleigh quotient
+    x^H C_j x; the two exact terms are added back to those.
     """
-    basis = hilbert.highest_weight_basis(n, ell)
-    dim = basis.shape[1]
+    kernels = hilbert.highest_weight_blocks(n, ell)
+    reps = hilbert.orbit_representatives(n, ell)
     spin = n / 2 - ell
     casimir = 0.75 * n - spin * (spin + 1)
     m = max(n - 2, 1)
-    diag = np.arange(dim)
-    coeffs = np.empty((m, dim, dim), dtype=complex)
+    stacks = [np.empty((m, w.shape[1], w.shape[1]), dtype=complex) for w in kernels]
     for j, u in enumerate(np.exp(2j * np.pi * np.arange(m) / m)):
-        coeffs[j] = _restricted_transfer(u, n, ell, basis)
-        coeffs[j, diag, diag] -= 2 * u**n + casimir * u ** (n - 2)
-    np.fft.fft(coeffs, axis=0, out=coeffs)
-    coeffs /= m  # coeffs[j] = C_j
-    _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), coeffs, 1))
+        a, _, _, d = apply_monodromy(u, n, ell, reps)
+        a += d
+        for stack, w, block in zip(stacks, kernels, hilbert.momentum_blocks(a, n, ell)):
+            stack[j] = w.conj().T @ block @ w
+            stack[j] -= (2 * u**n + casimir * u ** (n - 2)) * np.eye(len(stack[j]))
+    dim = sum(w.shape[1] for w in kernels)
     lam = np.zeros((dim, n + 1), dtype=complex)
-    lam[:, :m] = np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in coeffs]).T
+    states = np.empty((hilbert.binomial(n, ell), dim), dtype=complex)
+    start = 0
+    for q, (stack, w) in enumerate(zip(stacks, kernels)):
+        stop = start + w.shape[1]
+        np.fft.fft(stack, axis=0, out=stack)
+        stack /= m  # stack[j] = C_j
+        _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), stack, 1))
+        lam[start:stop, :m] = np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in stack]).T
+        states[:, start:stop] = hilbert.momentum_states(n, ell, q, w @ vecs)
+        start = stop
     lam[:, n - 2] += casimir
     lam[:, n] += 2
-    return lam, _real_times(basis, vecs)
+    return lam, states
 
 
 def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:

@@ -298,7 +298,7 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
         return [RootSet(n, (), REGULAR, 0.0)]
 
     lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
-    h_states = hilbert.sector_hamiltonian(n, ell) @ states
+    h_states = hilbert.apply_hamiltonian(n, ell, states)
     rayleigh = (states.conj() * h_states).sum(axis=0).real / (
         np.abs(states) ** 2
     ).sum(axis=0)

@@ -5,8 +5,9 @@ solve / classify / energize / diagonalize / audit pipeline, ``diag``
 prints the exact spectrum, ``solve`` one sector's root sets, ``rc`` the
 rigged-configuration census, and ``plot`` renders root scatters from a
 report file.  ``diag`` and ``run`` share one exact diagonalization,
-``hilbert.exact_spectrum``, which works magnon sector by magnon sector
-and never builds the dense 2^n x 2^n Hamiltonian.  ``run`` exits 0 when
+``hilbert.exact_spectrum``, which works by (magnon number, momentum)
+block, each about C(n, ell)/n wide, and builds neither the dense
+2^n x 2^n Hamiltonian nor a whole magnon sector.  ``run`` exits 0 when
 every audit passes, 2 on a solver count shortfall, and 3 on a
 spectral-closure failure.  Bad input (a chain length outside the cap, a
 magnon number above n/2, a malformed ``BETHE_LAB_MAX_N``, a magnon

@@ -6,10 +6,21 @@ Conventions shared by every module in this package:
   significant bit.  Bit value 0 means spin-up, 1 means spin-down.
 * The all-up product state is basis index 0.
 * Energies are quoted in units of the exchange coupling ``J``.
+* An ell-magnon vector is held in sector coordinates: C(n, ell)
+  entries, indexed like ``sector_basis(n, ell)``.
+
+H conserves the magnon number ell and commutes with the one-site shift
+U, so the exact diagonalization never forms a whole sector: each
+(ell, q) momentum block, about C(n, ell)/n wide, is built from the
+columns H|r> of the translation-orbit representatives |r>
+(``translation_orbits``, ``momentum_blocks``), and the same blocks of
+S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).  H
+itself acts on vectors through its n bond swaps (``apply_hamiltonian``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -58,7 +69,7 @@ def hamiltonian(n: int) -> np.ndarray:
 
     Entries are real (the sigma^y sigma^y product is real); the matrix is
     returned as float64.  It takes 8 * 4**n bytes, so the package itself
-    never builds it: ``exact_spectrum`` works sector by sector.  It is
+    never builds it: ``exact_spectrum`` works by momentum block.  It is
     kept as the independent reference for tests.
     """
     if n < 2:
@@ -94,57 +105,164 @@ def sector_basis(n: int, ell: int) -> np.ndarray:
     return _with_down_spins(n, ell)
 
 
+@functools.lru_cache(maxsize=None)
+def _bond_swaps(n: int, ell: int) -> tuple[np.ndarray, ...]:
+    """Row gathers of the bond swaps P_(k,k+1), k = 1..n, on the ell-magnon sector.
+
+    A row whose sites k and k + 1 differ moves to the row with both
+    flipped; an aligned row stays.
+    """
+    idx = sector_basis(n, ell)
+    swaps = []
+    for k in range(1, n + 1):
+        m1, m2 = site_mask(k, n), site_mask(k % n + 1, n)
+        differ = ((idx & m1) != 0) != ((idx & m2) != 0)
+        swap = np.searchsorted(idx, idx ^ differ * (m1 | m2))
+        swap.flags.writeable = False
+        swaps.append(swap)
+    return tuple(swaps)
+
+
 def sector_hamiltonian(n: int, ell: int) -> np.ndarray:
-    """XXX Hamiltonian restricted to the ell-magnon sector."""
+    """XXX Hamiltonian restricted to the ell-magnon sector.
+
+    sigma_k . sigma_(k+1) = 2 P_(k,k+1) - 1, so H = (1/2) sum_k (P_(k,k+1) - 1).
+    """
     if n < 2:
         raise ValueError(f"sector_hamiltonian needs n >= 2, got {n}")
-    idx = sector_basis(n, ell)
-    dim = len(idx)
+    dim = len(sector_basis(n, ell))
     if dim > SECTOR_DIM_CAP:
         raise ValueError(f"sector dimension {dim} exceeds cap {SECTOR_DIM_CAP}")
-    pos = np.full(1 << n, -1, dtype=np.int64)
-    pos[idx] = np.arange(dim)
     h = np.zeros((dim, dim))
     rows = np.arange(dim)
-    for k in range(1, n + 1):
-        knext = k % n + 1
-        m1 = site_mask(k, n)
-        m2 = site_mask(knext, n)
-        differ = ((idx & m1) != 0) != ((idx & m2) != 0)
-        rd = rows[differ]
-        h[rd, rd] += -0.5
-        h[pos[idx[differ] ^ (m1 | m2)], rd] += 0.5
+    for swap in _bond_swaps(n, ell):
+        h[swap, rows] += 0.5
+    h[rows, rows] -= 0.5 * n
     return h
 
 
-def highest_weight_basis(n: int, ell: int) -> np.ndarray:
-    """Orthonormal basis of ker S^+ inside the ell-magnon sector.
+def apply_hamiltonian(n: int, ell: int, psi: np.ndarray) -> np.ndarray:
+    """H psi for an ell-magnon ``psi`` of shape (C(n, ell),) or (C(n, ell), m).
 
-    Columns are indexed like ``sector_basis(n, ell)``.  The sector block
-    of S^+, which maps ell magnons to ell - 1, is built with bit
-    operations, and its null space is the eigenspace of S^- S^+ = s^T s
-    below 0.5: on spin S with S_z = n/2 - ell, S^- S^+ is
-    S(S + 1) - S_z(S_z + 1), an integer that is 0 or at least 2 for
-    ell <= n/2.  ``eigh`` gives that space without the left singular
-    vectors a full SVD would build.  For ell <= n/2 it has dimension
+    Uses the n bond swaps of ``sector_hamiltonian`` as row gathers, so
+    the C(n, ell) x C(n, ell) matrix is never formed.
+    """
+    if n < 2:
+        raise ValueError(f"apply_hamiltonian needs n >= 2, got {n}")
+    out = -n * psi
+    for swap in _bond_swaps(n, ell):
+        out += psi[swap]
+    out *= 0.5
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def translation_orbits(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the one-site shift U on the ell-magnon sector, as index arrays.
+
+    U moves the spin at site k to site k + 1.  Returns ``(shifts,
+    lengths)``: row r of ``shifts`` (shape (o, n)) holds the sector
+    positions of U^s|r>, s = 0..n-1, where the representative |r> is the
+    smallest basis state of its orbit, so ``shifts[:, 0]`` ascends; and
+    ``lengths[r]`` is the orbit length L_r, a divisor of n.  There are
+    about C(n, ell)/n orbits.
+    """
+    idx = sector_basis(n, ell)
+    rot = [idx]
+    for _ in range(1, n):
+        rot.append((rot[-1] >> 1) | ((rot[-1] & 1) << (n - 1)))
+    rot = np.stack(rot, axis=1)
+    reps = rot.min(axis=1) == idx
+    shifts = np.searchsorted(idx, rot[reps])
+    lengths = n // (rot[reps] == idx[reps, None]).sum(axis=1)
+    shifts.flags.writeable = lengths.flags.writeable = False
+    return shifts, lengths
+
+
+def momentum_orbits(n: int, ell: int, q: int) -> np.ndarray:
+    """The orbits r of the ell-magnon sector that carry momentum q: q L_r = 0 mod n."""
+    return np.flatnonzero(q * translation_orbits(n, ell)[1] % n == 0)
+
+
+def orbit_representatives(n: int, ell: int) -> np.ndarray:
+    """The unit vectors |r> of the orbit representatives, shape (C(n, ell), o)."""
+    reps = translation_orbits(n, ell)[0][:, 0]
+    e = np.zeros((binomial(n, ell), len(reps)))
+    e[reps, np.arange(len(reps))] = 1.0
+    return e
+
+
+def momentum_states(n: int, ell: int, q: int, c: np.ndarray) -> np.ndarray:
+    """sum_r c[r] |r, q> in sector coordinates, for block coordinates ``c`` of shape (o_q, m).
+
+    |r, q> = L_r^(-1/2) sum_(s < L_r) e^(-2 pi i q s / n) U^s |r> is a
+    unit eigenvector of U with eigenvalue e^(2 pi i q / n); the rows of
+    ``c`` follow ``momentum_orbits(n, ell, q)``.
+    """
+    shifts, lengths = translation_orbits(n, ell)
+    keep = momentum_orbits(n, ell, q)
+    # s mod L_r: every shift of an orbit writes the one value of its state
+    s = np.arange(n) % lengths[keep, None]
+    phase = np.exp(-2j * np.pi * q * s / n) / np.sqrt(lengths[keep, None])
+    out = np.zeros((binomial(n, ell), c.shape[1]), dtype=complex)
+    out[shifts[keep]] = phase[:, :, None] * c[:, None, :]
+    return out
+
+
+def momentum_blocks(
+    y: np.ndarray, n: int, ell: int, ell_out: int | None = None
+) -> list[np.ndarray]:
+    """The blocks <r', q|O|r, q>, q = 0..n-1, of an operator O that commutes with U.
+
+    ``y`` holds O|r> in sector coordinates of ``ell_out`` (default
+    ``ell``), one column per orbit representative r of the ell-magnon
+    sector.  Since O U^s = U^s O,
+
+        <r', q|O|r, q> = sqrt(L_r L_r') ifft_s(<U^s r'|O|r>)[q],
+
+    one gather of y and one FFT over s for every block.  Block q has a
+    row per ``momentum_orbits(n, ell_out, q)`` and a column per
+    ``momentum_orbits(n, ell, q)``.
+    """
+    ell_out = ell if ell_out is None else ell_out
+    shifts, out_lengths = translation_orbits(n, ell_out)
+    g = np.fft.ifft(y[shifts], axis=1)  # g[r', q, r]
+    g *= np.sqrt(out_lengths)[:, None, None] * np.sqrt(translation_orbits(n, ell)[1])
+    return [
+        g[momentum_orbits(n, ell_out, q), q][:, momentum_orbits(n, ell, q)] for q in range(n)
+    ]
+
+
+def highest_weight_blocks(n: int, ell: int) -> list[np.ndarray]:
+    """Orthonormal basis of ker S^+ in each momentum block (ell, q), q = 0..n-1.
+
+    Block q's basis has a row per ``momentum_orbits(n, ell, q)``, in the
+    coordinates of ``momentum_states``.  S^+ commutes with U, so it maps
+    block (ell, q) into (ell - 1, q); its columns S^+|r> are built with
+    bit operations, and the kernel of each block s is the eigenspace of
+    S^- S^+ = s^H s below 0.5: on spin S with S_z = n/2 - ell, S^- S^+
+    is S(S + 1) - S_z(S_z + 1), an integer that is 0 or at least 2 for
+    ell <= n/2.  For ell <= n/2 the kernels have dimensions summing to
     C(n, ell) - C(n, ell - 1).
     """
     idx = sector_basis(n, ell)
-    if ell == 0:
-        return np.eye(1)
-    lower = sector_basis(n, ell - 1)
     if len(idx) > SECTOR_DIM_CAP:
         raise ValueError(f"sector dimension {len(idx)} exceeds cap {SECTOR_DIM_CAP}")
-    pos = np.full(1 << n, -1, dtype=np.int64)
-    pos[lower] = np.arange(len(lower))
-    s = np.zeros((len(lower), len(idx)))
-    cols = np.arange(len(idx))
+    if ell == 0:
+        return [np.eye(len(momentum_orbits(n, 0, q))) for q in range(n)]
+    lower = sector_basis(n, ell - 1)
+    reps = idx[translation_orbits(n, ell)[0][:, 0]]
+    s = np.zeros((len(lower), len(reps)))
+    cols = np.arange(len(reps))
     for k in range(1, n + 1):
         mask = site_mask(k, n)
-        down = (idx & mask) != 0
-        s[pos[idx[down] ^ mask], cols[down]] = 1.0
-    w, v = np.linalg.eigh(s.T @ s)
-    return v[:, w < 0.5]
+        down = (reps & mask) != 0
+        s[np.searchsorted(lower, reps[down] ^ mask), cols[down]] = 1.0
+    kernels = []
+    for block in momentum_blocks(s, n, ell, ell - 1):
+        w, v = np.linalg.eigh(block.conj().T @ block)
+        kernels.append(v[:, w < 0.5])
+    return kernels
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,12 +327,15 @@ def spectrum_with_multiplicities(eigs) -> list[SpectrumEntry]:
 def exact_spectrum(n: int) -> list[SpectrumEntry]:
     """Exact spectrum of the chain as merged (energy, multiplicity) levels.
 
-    H conserves the magnon number, so its spectrum is the union of the
-    spectra of the n + 1 sector blocks.  Flipping every spin maps sector
-    ell onto sector n - ell and leaves H alone, so only the blocks with
-    ell <= n/2 are diagonalized, each through ``eig_hermitian`` and its
-    checks, and a block with ell < n/2 is counted twice.  The largest
-    block, ell = n // 2, is checked against ``SECTOR_DIM_CAP`` before any
+    H conserves the magnon number and commutes with the one-site shift
+    U, so its spectrum is the union of the spectra of its (ell, q)
+    momentum blocks, about C(n, ell)/n wide.  Flipping every spin maps
+    sector ell onto sector n - ell and leaves H alone, so only the
+    sectors with ell <= n/2 are diagonalized, and a block with
+    ell < n/2 is counted twice.  Each block comes from the columns
+    H|r> of the orbit representatives (``momentum_blocks``) and goes
+    through ``eig_hermitian`` and its checks.  The largest sector,
+    ell = n // 2, is checked against ``SECTOR_DIM_CAP`` before any
     eigensolve.
     """
     _check_n(n)
@@ -225,8 +346,11 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
         )
     eigs = []
     for ell in range(n // 2 + 1):
-        w = eig_hermitian(sector_hamiltonian(n, ell))[0]
-        eigs += [w, w] if 2 * ell < n else [w]
+        h_reps = apply_hamiltonian(n, ell, orbit_representatives(n, ell))
+        for block in momentum_blocks(h_reps, n, ell):
+            if len(block):
+                w = eig_hermitian(block)[0]
+                eigs += [w, w] if 2 * ell < n else [w]
     return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 

@@ -2,7 +2,7 @@
 
 The pipeline solves every magnon sector of a chain, attaches energies
 (closed regular formula, singular-state formula, and the log-derivative
-cross-check), diagonalizes the Hamiltonian sector by sector, and
+cross-check), diagonalizes the Hamiltonian by momentum block, and
 reconciles the two spectra: regular Bethe states carry multiplicity
 n - 2 ell + 1, the levels they miss must be covered exactly by the
 physical singular states.  All energies are stored in units of J.

@@ -3,9 +3,9 @@
 The package works on state vectors and magnon sectors and never builds
 these matrices; the tests build them, for small n, to check the
 package's operators against the textbook definitions.  The plain Bethe
-vector, the regularized rapidity list and the epsilon-ladder
-log-derivative energy live here too: the package's run needs none of
-them.
+vector, the regularized rapidity list, the epsilon-ladder
+log-derivative energy and the whole-sector ker S^+ basis live here too:
+the package's run needs none of them.
 """
 
 from __future__ import annotations
@@ -93,6 +93,30 @@ def raising_operator(n: int) -> np.ndarray:
         down = (b & mask) != 0
         s[b[down] ^ mask, b[down]] += 1.0
     return s
+
+
+def highest_weight_basis(n: int, ell: int) -> np.ndarray:
+    """Real orthonormal basis of ker S^+ inside the whole ell-magnon sector.
+
+    Columns are indexed like ``hilbert.sector_basis(n, ell)``.  The sector
+    block s of S^+ (ell magnons to ell - 1) is built with bit operations,
+    and its null space is the eigenspace of s^T s below 0.5 (S^- S^+ is
+    0 or at least 2 there).  For ell <= n/2 it has dimension
+    C(n, ell) - C(n, ell - 1).  The package diagonalizes by momentum
+    block instead (``hilbert.highest_weight_blocks``).
+    """
+    idx = hilbert.sector_basis(n, ell)
+    if ell == 0:
+        return np.eye(1)
+    lower = hilbert.sector_basis(n, ell - 1)
+    s = np.zeros((len(lower), len(idx)))
+    cols = np.arange(len(idx))
+    for k in range(1, n + 1):
+        mask = hilbert.site_mask(k, n)
+        down = (idx & mask) != 0
+        s[np.searchsorted(lower, idx[down] ^ mask), cols[down]] = 1.0
+    w, v = np.linalg.eigh(s.T @ s)
+    return v[:, w < 0.5]
 
 
 # ---------------------------------------------------------------------------

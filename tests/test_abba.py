@@ -302,7 +302,7 @@ def test_transfer_eigenpolynomials_match_full_dft(n):
     nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     for ell in range(n // 2 + 1):
         coeffs, states = abba.transfer_eigenpolynomials(n, ell)
-        basis = hilbert.highest_weight_basis(n, ell)
+        basis = dense_ops.highest_weight_basis(n, ell)
         at_nodes = []
         for u in nodes:
             a, _, _, d = abba.apply_monodromy(u, n, ell, basis)
@@ -316,6 +316,21 @@ def test_transfer_eigenpolynomials_match_full_dft(n):
         x = basis.T @ states
         from_dft = np.array([((c @ x) * x.conj()).sum(axis=0) for c in full]).T
         assert np.abs(coeffs - from_dft).max() <= 1e-12 * max(1.0, np.abs(from_dft).max())
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_transfer_momentum_blocks_match_projection(n):
+    # T_q(u) from the orbit representatives equals t(u) projected onto
+    # the expanded momentum states
+    rng = np.random.default_rng(30 + n)
+    u = complex(rng.normal(), rng.normal())
+    for ell in range(n // 2 + 1):
+        a, _, _, d = abba.apply_monodromy(u, n, ell, hilbert.orbit_representatives(n, ell))
+        for q, block in enumerate(hilbert.momentum_blocks(a + d, n, ell)):
+            states = hilbert.momentum_states(n, ell, q, np.eye(len(block)))
+            a, _, _, d = abba.apply_monodromy(u, n, ell, states)
+            ref = states.conj().T @ (a + d)
+            assert np.abs(block - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0)), (ell, q)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])

@@ -231,7 +231,7 @@ def test_roots_exactly_conjugation_closed(solved):
                 assert not any(0.0 < abs(z.imag) < 1e-9 for z in s.roots), s
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_split_point_separates_every_lambda(n):
     # one state per t(u*) eigenvector relies on t(u*) having simple
     # spectrum on each highest-weight sector; with a repeated eigenvalue

@@ -62,20 +62,31 @@ def test_diag_rejects_oversized_sector_before_any_eigensolve(capsys, monkeypatch
     assert "sector dimension 12870 (n=16, ell=8)" in lines[0]  # C(16, 8) > SECTOR_DIM_CAP
 
 
-def test_diag_n13_peak_rss_below_dense_matrix(tmp_path):
-    # the dense float64 H alone would take 8 * 4**13 bytes = 512 MiB
+def _diag_peak_rss_mib(n, tmp_path):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     with open(tmp_path / "out.txt", "w") as out:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "bethe_lab.cli", "diag", "--n", "13"], stdout=out, env=env
+            [sys.executable, "-m", "bethe_lab.cli", "diag", "--n", str(n)], stdout=out, env=env
         )
     # wait4 reports this child's own resource usage; ru_maxrss is in KiB on Linux
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
-    assert "total states: 8192" in (tmp_path / "out.txt").read_text()
-    assert usage.ru_maxrss / 1024 <= 400, usage.ru_maxrss
+    assert f"total states: {2**n}" in (tmp_path / "out.txt").read_text()
+    return usage.ru_maxrss / 1024
+
+
+def test_diag_n13_peak_rss_below_dense_matrix(tmp_path):
+    # the dense float64 H alone would take 8 * 4**13 bytes = 512 MiB
+    assert _diag_peak_rss_mib(13, tmp_path) <= 400
+
+
+def test_diag_n14_peak_rss_below_quarter_of_dense_matrix(tmp_path):
+    # the dense float64 H alone would take 8 * 4**14 bytes = 2 GiB, and
+    # the widest sector block (ell = 7, 3432 states) 94 MB; the momentum
+    # blocks are at most 246 wide
+    assert _diag_peak_rss_mib(14, tmp_path) <= 256
 
 
 def test_solve_subcommand(capsys):

@@ -226,10 +226,58 @@ def test_sector_dimension_cap(monkeypatch):
 def test_highest_weight_basis_is_ker_s_plus(n):
     s_plus = dense_ops.raising_operator(n)  # dense reference
     for ell in range(n // 2 + 1):
-        basis = hilbert.highest_weight_basis(n, ell)
+        basis = dense_ops.highest_weight_basis(n, ell)
         d = hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)
         assert basis.shape == (hilbert.binomial(n, ell), d)
         assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-12
         full = np.zeros((1 << n, d))
         full[hilbert.sector_basis(n, ell)] = basis
         assert np.abs(s_plus @ full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_momentum_states_are_translation_eigenvectors(n):
+    # U moves the spin at site k to site k + 1; |r, q> carries the
+    # eigenvalue e^(+2 pi i q / n) of U, and the states of all q
+    # together are an orthonormal basis of the sector
+    u = dense_ops.translation_matrix(n)
+    for ell in range(n // 2 + 1):
+        blocks = []
+        for q in range(n):
+            dim = len(hilbert.momentum_orbits(n, ell, q))
+            full = dense_ops.embed(n, ell, hilbert.momentum_states(n, ell, q, np.eye(dim)))
+            assert np.abs(u @ full - np.exp(2j * np.pi * q / n) * full).max(initial=0.0) <= 1e-12
+            blocks.append(full)
+        full = np.concatenate(blocks, axis=1)
+        assert full.shape[1] == hilbert.binomial(n, ell)
+        assert np.abs(full.conj().T @ full - np.eye(full.shape[1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_hamiltonian_momentum_blocks_match_sector(n):
+    rng = np.random.default_rng(n)
+    for ell in range(n // 2 + 1):
+        h = hilbert.sector_hamiltonian(n, ell)
+        psi = rng.normal(size=(len(h), 3)) + 1j * rng.normal(size=(len(h), 3))
+        assert np.abs(hilbert.apply_hamiltonian(n, ell, psi) - h @ psi).max() <= 1e-12
+        reps = hilbert.orbit_representatives(n, ell)
+        blocks = hilbert.momentum_blocks(hilbert.apply_hamiltonian(n, ell, reps), n, ell)
+        for q, block in enumerate(blocks):
+            states = hilbert.momentum_states(n, ell, q, np.eye(len(block)))
+            assert np.abs(block - states.conj().T @ h @ states).max(initial=0.0) <= 1e-12
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_highest_weight_blocks_span_ker_s_plus(n):
+    s_plus = dense_ops.raising_operator(n)
+    for ell in range(n // 2 + 1):
+        kernels = hilbert.highest_weight_blocks(n, ell)
+        d = hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)
+        assert sum(w.shape[1] for w in kernels) == d
+        states = np.concatenate(
+            [hilbert.momentum_states(n, ell, q, w) for q, w in enumerate(kernels)], axis=1
+        )
+        assert np.abs(states.conj().T @ states - np.eye(d)).max() <= 1e-12
+        assert np.abs(s_plus @ dense_ops.embed(n, ell, states)).max() <= 1e-12

@@ -135,7 +135,7 @@ def test_merge_and_subtract_helpers():
     assert pipeline.multiset_subtract(a, [(1.000001, 18)], 1e-5) == [(1.0, 10)]
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_run_passes_every_audit(n):
     rep = pipeline.run_pipeline(n)
     assert rep.audit["count_check"] and rep.audit["spectral_closure"], rep.audit
