@@ -18,11 +18,12 @@ one auxiliary column at a time: (psi, 0) becomes (A psi, C psi) and
 so a column holds only its C(n + 1, p) rows, and each site costs one
 scaling and one row gather.  Bethe products read only B and run only
 the (0, psi) column.  A rapidity may also be a polynomial in a small
-parameter eps, given as the matrix of multiplication by it on
-eps-coefficient arrays; the same recursion then returns every
-eps-coefficient of the result.  The Nepomechie-Wang vectors, which
-vanish to order eps^n, are built that way in float64 with no
-cancellation.
+parameter eps, given as its coefficient vector, lowest term first,
+acting on arrays that hold eps-coefficients along their trailing axis;
+the same recursion then returns every eps-coefficient of the result,
+each site adding one shifted copy per nonzero coefficient and widening
+the eps axis by the degree.  The Nepomechie-Wang vectors, which vanish
+to order eps^n, are built that way in float64 with no cancellation.
 """
 
 from __future__ import annotations
@@ -85,11 +86,17 @@ def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
     with the auxiliary spin up, then sector p - 1 with it down.  Slot 0
     is (psi, 0), which T maps to (A psi, C psi), and slot 1 is (0, psi),
     which it maps to (B psi, D psi); both parts come back in sector
-    coordinates.
+    coordinates.  A polynomial ``lam`` (a 1-D coefficient vector) adds
+    its degree to the trailing eps axis of ``psi`` at every site.
     """
-    matrix = np.ndim(lam) == 2
     # L_k = (lam - i/2) + i P_k, with -i/2 folded into the rapidity once
-    shifted = lam - 0.5j * np.eye(len(lam)) if matrix else complex(lam) - 0.5j
+    poly = np.ndim(lam) == 1
+    if poly:
+        shifted = np.array(lam, dtype=complex)
+        shifted[0] -= 0.5j
+        terms = [(k, a) for k, a in enumerate(shifted) if a][::-1]
+    else:
+        shifted = complex(lam) - 0.5j
     size = hilbert.binomial(n + 1, ell + aux)
     top = hilbert.binomial(n, ell + aux)
     y = np.zeros((size, *psi.shape[1:]), dtype=complex)
@@ -97,8 +104,19 @@ def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
     for swap in _site_swaps(n, ell + aux):
         swapped = y[swap]
         swapped *= 1j
-        y = y @ shifted if matrix else np.multiply(shifted, y, out=y)
-        y += swapped
+        if poly:
+            # (lam - i/2) y: one shifted add per nonzero eps-coefficient,
+            # highest power first and the gather last, the order in which
+            # a dense Toeplitz product (tests/dense_ops.py) sums them
+            width = y.shape[1]
+            out = np.zeros((size, width + len(shifted) - 1), dtype=complex)
+            for k, a in terms:
+                out[:, k : k + width] += a * y
+            out[:, :width] += swapped
+            y = out
+        else:
+            np.multiply(shifted, y, out=y)
+            y += swapped
     return y[:top], y[top:]
 
 
@@ -108,10 +126,11 @@ def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
     ``psi`` has shape (C(n, ell),) or (C(n, ell), m), indexed like
     ``hilbert.sector_basis(n, ell)``; returns (A psi, B psi, C psi,
     D psi) in sectors ell, ell + 1, ell - 1 and ell.  ``lam`` is a
-    number, or an (m, m) upper-triangular Toeplitz matrix: a rapidity
-    polynomial in eps acting on the eps-coefficients held along the
-    trailing axis of ``psi`` (column j carries eps^j, so the shift
-    ``np.eye(m, k=1)`` multiplies by eps).
+    number, or the coefficient vector (lam_0, ..., lam_d) of a rapidity
+    polynomial lam_0 + lam_1 eps + ... + lam_d eps^d acting on the
+    eps-coefficients held along the trailing axis of a 2-D ``psi``
+    (column j carries eps^j); each block then has d n more columns than
+    ``psi``.
     """
     psi = np.asarray(psi)
     if not 0 <= ell <= n or psi.shape[0] != hilbert.binomial(n, ell):
@@ -190,18 +209,19 @@ def _nw_series(rootset: RootSet, c: complex) -> np.ndarray:
 
     With L1 = i/2 + eps + c eps^n and L2 = -i/2 + eps every component is
     a polynomial of degree n^2 + n in eps.  Its coefficients below eps^n
-    vanish; the eps^n column is the Nepomechie-Wang limit vector.
+    vanish; the eps^n column is the Nepomechie-Wang limit vector.  The
+    other roots act on the one eps^0 column; B(L2) widens it to degree
+    n and B(L1) to degree n^2 + n.
     """
     n = rootset.n
     others = singular_partners(rootset.roots)
     if others is None:
         raise ValueError("root set does not contain the singular pair {i/2, -i/2}")
-    m = n * n + n + 1
-    shift = np.eye(m, k=1)
-    lam1 = 0.5j * np.eye(m) + shift + c * np.eye(m, k=n)
-    lam2 = -0.5j * np.eye(m) + shift
-    psi = np.zeros((1, m), dtype=complex)
-    psi[0, 0] = 1.0  # |0> at eps^0
+    lam1 = np.zeros(n + 1, dtype=complex)
+    lam1[:2] = 0.5j, 1.0
+    lam1[n] += c
+    lam2 = np.array([-0.5j, 1.0])
+    psi = np.ones((1, 1), dtype=complex)  # |0> at eps^0
     for ell, lam in enumerate(reversed([lam1, lam2, *others])):
         psi = _column(lam, n, ell, psi, 1)[0]
     return psi
@@ -252,18 +272,18 @@ def regularization_sweep(
     The product is expanded in eps once; each rung sums that series and
     the limit is its eps^n coefficient.  Residuals are taken on the
     ell-magnon sector Hamiltonian against the supplied energy (Rayleigh
-    quotient when omitted).
+    quotient when omitted), applied through its n bond swaps.
     """
     n = rootset.n
-    h = hilbert.sector_hamiltonian(n, rootset.ell)
 
     def residual(psi: np.ndarray) -> float:
         norm = np.linalg.norm(psi)
         if norm == 0:
             return float("inf")
         v = psi / norm
-        e = energy if energy is not None else float(np.real(v.conj() @ (h @ v)))
-        return float(np.linalg.norm(h @ v - e * v))
+        hv = hilbert.apply_hamiltonian(n, rootset.ell, v)
+        e = energy if energy is not None else float(np.real(v.conj() @ hv))
+        return float(np.linalg.norm(hv - e * v))
 
     series = _nw_series(rootset, complex(c))
     residuals = []

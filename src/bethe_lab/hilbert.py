@@ -271,11 +271,14 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NonHermitianError if the input violates Hermiticity beyond
     1e-12 relative to its largest entry, and RuntimeError if the solver
     residual exceeds 1e-9 relative to the spectral norm, or the
-    eigenvectors are not orthonormal within 1e-9.
+    eigenvectors are not orthonormal within 1e-9.  A 0 x 0 matrix has no
+    eigenvalues and an empty eigenvector matrix.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        return np.zeros(0), np.zeros((0, 0), dtype=np.result_type(m, 1.0))
     scale = max(np.abs(m).max(), 1e-300)
     if np.abs(m - m.conj().T).max() > 1e-12 * scale:
         raise NonHermitianError("matrix is not Hermitian within 1e-12 of its largest entry")
@@ -348,9 +351,8 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
     for ell in range(n // 2 + 1):
         h_reps = apply_hamiltonian(n, ell, orbit_representatives(n, ell))
         for block in momentum_blocks(h_reps, n, ell):
-            if len(block):
-                w = eig_hermitian(block)[0]
-                eigs += [w, w] if 2 * ell < n else [w]
+            w = eig_hermitian(block)[0]
+            eigs += [w, w] if 2 * ell < n else [w]
     return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 

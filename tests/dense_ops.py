@@ -4,8 +4,9 @@ The package works on state vectors and magnon sectors and never builds
 these matrices; the tests build them, for small n, to check the
 package's operators against the textbook definitions.  The plain Bethe
 vector, the regularized rapidity list, the epsilon-ladder
-log-derivative energy and the whole-sector ker S^+ basis live here too:
-the package's run needs none of them.
+log-derivative energy, the whole-sector ker S^+ basis and the
+dense-Toeplitz Nepomechie-Wang series and sweep live here too: the
+package's run needs none of them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from bethe_lab.abba import (
     PoleError,
     RegularizationParams,
     _column,
+    _nw_at,
+    _site_swaps,
     apply_monodromy,
     transfer_eigenvalue,
 )
@@ -317,3 +320,72 @@ def ladder_logderiv(rootset: RootSet, c: complex) -> float:
         weight = math.prod(e / (e - eps) for e in _EPS_LADDER if e != eps)
         extrap += weight * _logderiv_value(roots, n)
     return float(extrap.real)
+
+
+# ---------------------------------------------------------------------------
+# the Nepomechie-Wang series with dense Toeplitz rapidities
+# ---------------------------------------------------------------------------
+
+
+def toeplitz(coeffs, m: int) -> np.ndarray:
+    """(m, m) matrix of multiplication by sum_k coeffs[k] eps^k on eps^0..eps^(m-1) columns."""
+    return sum(a * np.eye(m, k=k) for k, a in enumerate(coeffs))
+
+
+def toeplitz_column(lam: np.ndarray, n: int, ell: int, psi: np.ndarray, aux: int):
+    """``abba._column`` with the rapidity an (m, m) Toeplitz matrix acting on (rows, m) ``psi``.
+
+    Each site is a dense (rows, m) @ (m, m) product, and the eps axis
+    keeps its width m throughout: higher terms are truncated at eps^(m-1).
+    """
+    shifted = lam - 0.5j * np.eye(len(lam))
+    size = hilbert.binomial(n + 1, ell + aux)
+    top = hilbert.binomial(n, ell + aux)
+    y = np.zeros((size, len(lam)), dtype=complex)
+    y[top * aux : top + aux * size] = psi
+    for swap in _site_swaps(n, ell + aux):
+        swapped = y[swap]
+        swapped *= 1j
+        y = y @ shifted
+        y += swapped
+    return y[:top], y[top:]
+
+
+def dense_nw_series(rootset: RootSet, c: complex) -> np.ndarray:
+    """``abba._nw_series`` with L1 and L2 as (m, m) Toeplitz matrices, m = n^2 + n + 1.
+
+    The other roots are numbers acting on all m columns at once.
+    """
+    n = rootset.n
+    others = singular_partners(rootset.roots)
+    if others is None:
+        raise ValueError("root set does not contain the singular pair {i/2, -i/2}")
+    m = n * n + n + 1
+    shift = np.eye(m, k=1)
+    lam1 = 0.5j * np.eye(m) + shift + c * np.eye(m, k=n)
+    lam2 = -0.5j * np.eye(m) + shift
+    psi = np.zeros((1, m), dtype=complex)
+    psi[0, 0] = 1.0  # |0> at eps^0
+    for ell, lam in enumerate(reversed([lam1, lam2, *others])):
+        column = toeplitz_column if np.ndim(lam) == 2 else _column
+        psi = column(lam, n, ell, psi, 1)[0]
+    return psi
+
+
+def dense_sweep_residuals(
+    rootset: RootSet, c: complex, ladder=(1e-2, 5e-3, 2.5e-3)
+) -> tuple[tuple[float, ...], float]:
+    """Ladder and limit residuals of ``abba.regularization_sweep`` on ``sector_hamiltonian``.
+
+    The series is ``dense_nw_series`` and every residual uses the dense
+    C(n, ell) x C(n, ell) sector matrix and the Rayleigh-quotient energy.
+    """
+    n = rootset.n
+    h = hilbert.sector_hamiltonian(n, rootset.ell)
+    series = dense_nw_series(rootset, complex(c))
+
+    def residual(psi):
+        v = psi / np.linalg.norm(psi)
+        return float(np.linalg.norm(h @ v - np.real(v.conj() @ (h @ v)) * v))
+
+    return tuple(residual(_nw_at(series, n, eps)) for eps in ladder), residual(series[:, n])

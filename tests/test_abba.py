@@ -138,21 +138,46 @@ def test_apply_monodromy_rejects_bad_input():
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_matrix_rapidity_matches_scalar_columns(n):
-    # lam0 * I_m acts on each eps-coefficient column alone, so every
-    # column must come out as the scalar recursion at lam0 gives it
+    # the constant polynomial [lam0] acts on each eps-coefficient column
+    # alone, so every column must come out as the scalar recursion at
+    # lam0 gives it
     m = 4
     rng = np.random.default_rng(40 + n)
     lam0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     for ell in range(n + 1):
         dim = hilbert.binomial(n, ell)
         psi = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
-        blocks = abba.apply_monodromy(lam0 * np.eye(m), n, ell, psi)
+        blocks = abba.apply_monodromy(np.array([lam0]), n, ell, psi)
         for j in range(m):
             scalar = abba.apply_monodromy(lam0, n, ell, psi[:, j])
             for got, want in zip(blocks, scalar):
                 # B at ell = n and C at ell = 0 are empty
+                assert got.shape == (len(want), m)
                 scale = max(1.0, np.abs(want).max(initial=0))
                 assert np.abs(got[:, j] - want).max(initial=0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_polynomial_rapidity_matches_dense_toeplitz(n):
+    # a random rapidity of degree 2 widens the eps axis by 2 per site; the
+    # dense Toeplitz recursion on that full width must give the same columns
+    w, deg = 3, 2
+    m = w + n * deg
+    rng = np.random.default_rng(70 + n)
+    coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    for ell in range(n + 1):
+        dim = hilbert.binomial(n, ell)
+        psi = rng.normal(size=(dim, w)) + 1j * rng.normal(size=(dim, w))
+        padded = np.zeros((dim, m), dtype=complex)
+        padded[:, :w] = psi
+        a, b, c, d = abba.apply_monodromy(coeffs, n, ell, psi)
+        lam = dense_ops.toeplitz(coeffs, m)
+        want_a, want_c = dense_ops.toeplitz_column(lam, n, ell, padded, 0)
+        want_b, want_d = dense_ops.toeplitz_column(lam, n, ell, padded, 1)
+        for got, want in zip((a, b, c, d), (want_a, want_b, want_c, want_d)):
+            assert got.shape == want.shape == (len(want), m)
+            scale = max(1.0, np.abs(want).max(initial=0))
+            assert np.abs(got - want).max(initial=0) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -464,18 +489,49 @@ def test_series_matches_direct_float_product():
     assert np.abs(vec - reference).max() <= 1e-6 * np.abs(reference).max()
 
 
+def _singular_sets(solved, nonphysical_singular, ns):
+    """Every singular set at the given n: the solver's physical ones and the stored rest."""
+    for n in ns:
+        sets = [s for ell in range(2, n // 2 + 1) for s in solved(n, ell)]
+        for s in sets + nonphysical_singular.get(n, []):
+            if s.classification in (PHYSICAL_SINGULAR, NONPHYSICAL_SINGULAR):
+                yield s
+
+
 def test_nw_series_vanishes_below_eps_n(solved, nonphysical_singular):
     checked = 0
-    for n in (6, 8):
-        solved_sets = [s for ell in range(2, n // 2 + 1) for s in solved(n, ell)]
-        # the solver returns the physical sets; the non-physical ones are stored
-        for s in solved_sets + nonphysical_singular[n]:
-            if s.classification not in (PHYSICAL_SINGULAR, NONPHYSICAL_SINGULAR):
-                continue
-            c1, _ = nw_constants(s)
-            series = abba._nw_series(s, c1)
-            assert series.shape == (hilbert.binomial(n, s.ell), n * n + n + 1)
-            limit = np.abs(series[:, n]).max()
-            assert np.abs(series[:, :n]).max() <= 1e-10 * limit, s
-            checked += 1
+    for s in _singular_sets(solved, nonphysical_singular, (6, 8)):
+        n = s.n
+        c1, _ = nw_constants(s)
+        series = abba._nw_series(s, c1)
+        assert series.shape == (hilbert.binomial(n, s.ell), n * n + n + 1)
+        limit = np.abs(series[:, n]).max()
+        assert np.abs(series[:, :n]).max() <= 1e-10 * limit, s
+        checked += 1
     assert checked >= 10
+
+
+def test_nw_series_matches_dense_toeplitz_reference(solved, nonphysical_singular):
+    checked = 0
+    for s in _singular_sets(solved, nonphysical_singular, (4, 6, 8)):
+        c1, _ = nw_constants(s)
+        series = abba._nw_series(s, c1)
+        reference = dense_ops.dense_nw_series(s, c1)
+        assert series.shape == reference.shape
+        assert np.abs(series - reference).max() <= 1e-13 * np.abs(reference).max(), s
+        checked += 1
+    assert checked >= 20  # 8 physical sets up to n=8, 12 stored non-physical ones
+
+
+def test_sweep_residuals_match_dense_sector_hamiltonian(solved, nonphysical_singular):
+    # the sweep applies H through its bond swaps; the reference multiplies
+    # by the dense sector matrix, on the dense-Toeplitz series
+    checked = 0
+    for s in _singular_sets(solved, nonphysical_singular, (4, 6, 8)):
+        c1, _ = nw_constants(s)
+        sweep = abba.regularization_sweep(s, c1)
+        residuals, limit = dense_ops.dense_sweep_residuals(s, c1)
+        assert np.abs(np.subtract(sweep.residuals, residuals)).max() <= 1e-12, s
+        assert abs(sweep.limit_residual - limit) <= 1e-12, s
+        checked += 1
+    assert checked >= 20  # 8 physical sets up to n=8, 12 stored non-physical ones

@@ -419,7 +419,7 @@ def test_multiset_eq_matches_min_over_permutations():
 
 def test_physicality_criterion_matches_vector_convergence(solved, nonphysical_singular):
     checked = 0
-    for n in (4, 6, 8):
+    for n in (4, 6, 8, 10):
         solved_sets = [s for ell in range(2, n // 2 + 1) for s in solved(n, ell)]
         # the solver returns the physical sets; the non-physical ones are stored
         for s in solved_sets + nonphysical_singular.get(n, []):
@@ -433,4 +433,4 @@ def test_physicality_criterion_matches_vector_convergence(solved, nonphysical_si
             expected = s.classification == bs.PHYSICAL_SINGULAR
             assert sweep.converged == expected, (s, sweep.residuals)
             checked += 1
-    assert checked >= 10  # several singular solutions exist up to n=8
+    assert checked >= 30  # 18 physical sets up to n=10, 12 stored non-physical ones

@@ -91,6 +91,13 @@ def test_eig_hermitian_diagonal_input():
     assert np.allclose(np.abs(v.conj().T @ v), np.eye(3))
 
 
+def test_eig_hermitian_empty_matrix():
+    # a momentum block with no states is 0 x 0
+    w, v = hilbert.eig_hermitian(np.zeros((0, 0)))
+    assert w.shape == (0,)
+    assert v.shape == (0, 0)
+
+
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(hilbert.NonHermitianError):
         hilbert.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
