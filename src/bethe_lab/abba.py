@@ -15,15 +15,16 @@ Vectors are in sector coordinates: an ell-magnon vector has C(n, ell)
 entries, indexed like ``hilbert.sector_basis(n, ell)``.  T is applied
 one auxiliary column at a time: (psi, 0) becomes (A psi, C psi) and
 (0, psi) becomes (B psi, D psi).  L_k keeps the number p of down spins,
-so a column holds only its C(n + 1, p) rows, and each site costs one
-scaling and one row gather.  Bethe products read only B and run only
-the (0, psi) column.  A rapidity may also be a polynomial in a small
-parameter eps, given as its coefficient vector, lowest term first,
-acting on arrays that hold eps-coefficients along their trailing axis;
-the same recursion then returns every eps-coefficient of the result,
-each site adding one shifted copy per nonzero coefficient and widening
-the eps axis by the degree.  The Nepomechie-Wang vectors, which vanish
-to order eps^n, are built that way in float64 with no cancellation.
+so a column holds only its C(n + 1, p) rows.  Bethe products read only
+B and run only the (0, psi) column.  A rapidity is a polynomial in a
+small parameter eps, given as its coefficient vector, lowest term first,
+that acts on arrays holding eps-coefficients along their trailing axis;
+a number is its degree-0 case.  One recursion serves both and returns
+every eps-coefficient of the result.  Each site costs one row gather,
+one shifted add per nonzero higher coefficient, which widens the eps
+axis by the degree, and one scaled add of the constant term.  The
+Nepomechie-Wang vectors, which vanish to order eps^n, are built that way
+in float64 with no cancellation.
 """
 
 from __future__ import annotations
@@ -65,17 +66,12 @@ class RegularizationParams:
 def _site_swaps(n: int, p: int) -> tuple[np.ndarray, ...]:
     """Row gathers of P_1, ..., P_n on the C(n + 1, p) stacked rows with p down spins.
 
-    The rows are ascending indices aux * 2^n + b; P_k moves a row whose
-    aux bit differs from the bit of site k to the row with both flipped.
+    The rows are ascending indices aux * 2^n + b, and P_k swaps the aux
+    bit with the bit of site k.  ``_column`` gathers through them for
+    every rapidity, a number being the degree-0 polynomial.
     """
     rows = hilbert._with_down_spins(n + 1, p)
-    swaps = []
-    for k in range(1, n + 1):
-        differ = ((rows >> n) ^ (rows >> (n - k))) & 1
-        swap = np.searchsorted(rows, rows ^ differ * (1 << n | 1 << (n - k)))
-        swap.flags.writeable = False
-        swaps.append(swap)
-    return tuple(swaps)
+    return tuple(hilbert._bit_swap(rows, 1 << n, 1 << (n - k)) for k in range(1, n + 1))
 
 
 def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
@@ -86,37 +82,32 @@ def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
     with the auxiliary spin up, then sector p - 1 with it down.  Slot 0
     is (psi, 0), which T maps to (A psi, C psi), and slot 1 is (0, psi),
     which it maps to (B psi, D psi); both parts come back in sector
-    coordinates.  A polynomial ``lam`` (a 1-D coefficient vector) adds
-    its degree to the trailing eps axis of ``psi`` at every site.
+    coordinates.  ``lam`` is an eps-coefficient vector, a number being
+    the degree-0 case; a degree d > 0 widens the trailing eps axis of a
+    2-D ``psi`` by d at every site.
     """
-    # L_k = (lam - i/2) + i P_k, with -i/2 folded into the rapidity once
-    poly = np.ndim(lam) == 1
-    if poly:
-        shifted = np.array(lam, dtype=complex)
-        shifted[0] -= 0.5j
-        terms = [(k, a) for k, a in enumerate(shifted) if a][::-1]
-    else:
-        shifted = complex(lam) - 0.5j
+    # L_k = (lam - i/2) + i P_k, with -i/2 folded into the constant term once
+    coeffs = np.array(lam, dtype=complex, ndmin=1)
+    const = complex(coeffs[0]) - 0.5j
+    deg = len(coeffs) - 1
+    higher = [k for k in range(deg, 0, -1) if coeffs[k]]  # nonzero eps-powers, highest first
     size = hilbert.binomial(n + 1, ell + aux)
     top = hilbert.binomial(n, ell + aux)
     y = np.zeros((size, *psi.shape[1:]), dtype=complex)
     y[top * aux : top + aux * size] = psi  # rows [0, top) or [top, end)
     for swap in _site_swaps(n, ell + aux):
-        swapped = y[swap]
-        swapped *= 1j
-        if poly:
-            # (lam - i/2) y: one shifted add per nonzero eps-coefficient,
-            # highest power first and the gather last, the order in which
-            # a dense Toeplitz product (tests/dense_ops.py) sums them
-            width = y.shape[1]
-            out = np.zeros((size, width + len(shifted) - 1), dtype=complex)
-            for k, a in terms:
-                out[:, k : k + width] += a * y
-            out[:, :width] += swapped
-            y = out
-        else:
-            np.multiply(shifted, y, out=y)
-            y += swapped
+        out = y[swap]
+        out *= 1j
+        if deg:
+            out = np.concatenate((out, np.zeros((size, deg))), axis=1)
+        width = y.shape[-1]
+        for k in higher:
+            out[:, k : k + width] += coeffs[k] * y
+        # the constant term in place, so that only y and out are alive;
+        # out[..., :width] is all of out when deg = 0
+        np.multiply(const, y, out=y)
+        out[..., :width] += y
+        y = out
     return y[:top], y[top:]
 
 

@@ -94,14 +94,21 @@ def canonical_roots(roots) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in roots), key=_root_key))
 
 
+def _pair_side(z: complex) -> int:
+    """1 or -1 if the root z is i/2 or -i/2 within TOL_SINGULAR, else 0."""
+    for side in (1, -1):
+        if abs(z - 0.5j * side) <= TOL_SINGULAR:
+            return side
+    return 0
+
+
 def singular_partners(roots):
     """If the set contains the pair {i/2, -i/2}, return the other roots."""
     roots = [complex(z) for z in roots]
-    i_up = [k for k, z in enumerate(roots) if abs(z - 0.5j) <= TOL_SINGULAR]
-    i_dn = [k for k, z in enumerate(roots) if abs(z + 0.5j) <= TOL_SINGULAR]
-    if not i_up or not i_dn:
+    sides = [_pair_side(z) for z in roots]
+    if 1 not in sides or -1 not in sides:
         return None
-    drop = {i_up[0], i_dn[0]}
+    drop = {sides.index(1), sides.index(-1)}
     return tuple(z for k, z in enumerate(roots) if k not in drop)
 
 
@@ -193,7 +200,7 @@ def nw_constants(rootset: RootSet) -> tuple[complex, complex]:
     if others is None:
         raise ValueError("root set does not contain the singular pair {i/2, -i/2}")
     for z in others:
-        if abs(z + 0.5j) <= TOL_SINGULAR or abs(z - 0.5j) <= TOL_SINGULAR:
+        if _pair_side(z):
             raise ZeroDivisionError(f"non-pair root {z} sits on a pole of the c formulas")
     ipow = 1j ** (n + 1)
     c1 = -2.0 / ipow
@@ -310,7 +317,7 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
         others = singular_partners(roots)
         if others is not None:
             # extra roots may not collide with the fixed pair
-            if any(min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR for z in others):
+            if any(map(_pair_side, others)):
                 continue
             roots = (0.5j, -0.5j, *others)
         rs = classify(RootSet(n, canonical_roots(roots), residual=float(tq_residual)))

@@ -12,8 +12,9 @@ every audit passes, 2 on a solver count shortfall, and 3 on a
 spectral-closure failure.  Bad input (a chain length outside the cap, a
 magnon number above n/2, a malformed ``BETHE_LAB_MAX_N``, a magnon
 sector larger than ``hilbert.SECTOR_DIM_CAP``, a ``plot --in`` file that
-cannot be read or is not a report, an output path that cannot be
-written) prints one ``bethe-lab: error:`` line and exits 1.
+cannot be read or is not a report, a single ``.svg`` output for
+several sectors, an output path that cannot be written) prints one
+``bethe-lab: error:`` line and exits 1.
 """
 
 from __future__ import annotations

@@ -48,14 +48,19 @@ def _pack(value: complex, method: str) -> EnergyResult:
     return EnergyResult(float(value.real) + 0.0, method, abs(value.imag))
 
 
+def _magnon_sum(roots) -> complex:
+    """sum_j 1 / (L_j^2 + 1/4): minus twice the energy of the magnons L_j."""
+    total = 0j
+    for z in roots:
+        total += 1.0 / (complex(z) ** 2 + 0.25)
+    return total
+
+
 def energy_regular(rootset: RootSet) -> EnergyResult:
     """Closed-form energy of a regular solution, in units of J."""
     if singular_partners(rootset.roots) is not None:
         raise ValueError("singular root set; use energy_nw")
-    total = 0j
-    for z in rootset.roots:
-        total += 1.0 / (complex(z) ** 2 + 0.25)
-    return _pack(-0.5 * total, REGULAR_FORMULA)
+    return _pack(-0.5 * _magnon_sum(rootset.roots), REGULAR_FORMULA)
 
 
 def energy_nw(rootset: RootSet) -> EnergyResult:
@@ -63,10 +68,7 @@ def energy_nw(rootset: RootSet) -> EnergyResult:
     others = singular_partners(rootset.roots)
     if others is None:
         raise ValueError("root set does not contain the singular pair {i/2, -i/2}")
-    total = 0j
-    for z in others:
-        total += 1.0 / (complex(z) ** 2 + 0.25)
-    return _pack(-1.0 - 0.5 * total, NW_THEOREM)
+    return _pack(-1.0 - 0.5 * _magnon_sum(others), NW_THEOREM)
 
 
 def energy_of(rootset: RootSet) -> EnergyResult:

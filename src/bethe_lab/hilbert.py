@@ -105,22 +105,23 @@ def sector_basis(n: int, ell: int) -> np.ndarray:
     return _with_down_spins(n, ell)
 
 
+def _bit_swap(idx: np.ndarray, m1: int, m2: int) -> np.ndarray:
+    """Read-only row gather of the swap of bits ``m1`` and ``m2`` on the ascending basis ``idx``.
+
+    A row whose two bits differ moves to the row with both flipped; an
+    aligned row stays.
+    """
+    differ = ((idx & m1) != 0) != ((idx & m2) != 0)
+    swap = np.searchsorted(idx, idx ^ differ * (m1 | m2))
+    swap.flags.writeable = False
+    return swap
+
+
 @functools.lru_cache(maxsize=None)
 def _bond_swaps(n: int, ell: int) -> tuple[np.ndarray, ...]:
-    """Row gathers of the bond swaps P_(k,k+1), k = 1..n, on the ell-magnon sector.
-
-    A row whose sites k and k + 1 differ moves to the row with both
-    flipped; an aligned row stays.
-    """
+    """Row gathers of the bond swaps P_(k,k+1), k = 1..n, on the ell-magnon sector."""
     idx = sector_basis(n, ell)
-    swaps = []
-    for k in range(1, n + 1):
-        m1, m2 = site_mask(k, n), site_mask(k % n + 1, n)
-        differ = ((idx & m1) != 0) != ((idx & m2) != 0)
-        swap = np.searchsorted(idx, idx ^ differ * (m1 | m2))
-        swap.flags.writeable = False
-        swaps.append(swap)
-    return tuple(swaps)
+    return tuple(_bit_swap(idx, site_mask(k, n), site_mask(k % n + 1, n)) for k in range(1, n + 1))
 
 
 def sector_hamiltonian(n: int, ell: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import warnings
 
-from .baesolver import RootSet, TOL_SINGULAR
+from .baesolver import RootSet, _pair_side, _root_key
 
 GRID_SPACING = 0.33
 _SIZE = 420
@@ -65,15 +65,12 @@ def render_sector_svg(rootsets: list[RootSet], title: str) -> str:
         f'<line x1="{cx}" y1="{_MARGIN}" x2="{cx}" y2="{_SIZE - _MARGIN}" '
         'stroke="black" stroke-width="1"/>\n'
     )
-    # solutions labelled in descending order of the leading root
-    ordered = sorted(
-        rootsets,
-        key=lambda rs: tuple((-z.real, -z.imag) for z in rs.roots),
-    )
+    # solutions labelled in the solver's order: descending leading root
+    ordered = sorted(rootsets, key=lambda rs: tuple(map(_root_key, rs.roots)))
     for label, rs in enumerate(ordered, start=1):
         for z in rs.roots:
             x, y = to_px(z)
-            if min(abs(z - 0.5j), abs(z + 0.5j)) <= TOL_SINGULAR:
+            if _pair_side(z):
                 parts.append(
                     f'<rect x="{x - 4:.2f}" y="{y - 4:.2f}" width="8" height="8" '
                     'fill="none" stroke="#c00" stroke-width="1.5"/>\n'
@@ -95,8 +92,8 @@ def plot_roots(rootsets: list[RootSet], out: str) -> list[str]:
     """Write one SVG per (n, ell) sector found in ``rootsets``.
 
     ``out`` is a directory (created if needed), or a single .svg path
-    when only one sector is present.  Empty sectors produce a warning
-    and no file.
+    when only one sector is present; a .svg path with several sectors
+    raises ValueError.  Empty sectors produce a warning and no file.
     """
     if not rootsets:
         warnings.warn("no root sets to plot; no file written")
@@ -109,7 +106,11 @@ def plot_roots(rootsets: list[RootSet], out: str) -> list[str]:
     if not groups:
         warnings.warn("only empty sectors supplied; no file written")
         return []
-    single_file = out.endswith(".svg") and len(groups) == 1
+    single_file = out.endswith(".svg")
+    if single_file and len(groups) > 1:
+        raise ValueError(
+            f"cannot write {len(groups)} sectors to the single file {out}; give a directory"
+        )
     written = []
     for (n, ell), group in sorted(groups.items()):
         svg = render_sector_svg(group, f"n={n} sector ell={ell}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ def test_polynomial_rapidity_matches_dense_toeplitz(n):
             assert got.shape == want.shape == (len(want), m)
             scale = max(1.0, np.abs(want).max(initial=0))
             assert np.abs(got - want).max(initial=0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("aux", [0, 1])
+def test_column_holds_two_column_buffers(aux):
+    # each site gathers into a fresh array and scales the old one in
+    # place, so the recursion never holds more than two columns at once
+    n, ell = 12, 6
+    psi = hilbert.orbit_representatives(n, ell)
+    abba._column(0.3 + 0.2j, n, ell, psi, aux)  # fill the swap cache
+    column = hilbert.binomial(n + 1, ell + aux) * psi.shape[1] * 16
+    tracemalloc.start()
+    try:
+        abba._column(0.3 + 0.2j, n, ell, psi, aux)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.shape[1] == 80
+    assert peak <= 2.5 * column, peak / column
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

@@ -163,6 +163,17 @@ def test_plot_subcommand(tmp_path, capsys):
     assert "<rect" in svg  # singular markers for the +/- i/2 pair
 
 
+def test_plot_svg_path_with_several_sectors_is_bad_input(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    cli.main(["run", "--n", "4", "--out", str(report)])
+    capsys.readouterr()
+    target = tmp_path / "roots.svg"
+    assert cli.main(["plot", "--in", str(report), "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bethe-lab: error: ") and "2 sectors" in err, err
+    assert not os.path.lexists(target)
+
+
 def test_plot_orders_labels_by_leading_root(tmp_path):
     sols = [
         bs.RootSet(6, (0.1,), bs.REGULAR, 0.0),
