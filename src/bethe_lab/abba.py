@@ -137,16 +137,17 @@ def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
 _SPLIT_POINT = 0.9 * np.exp(0.7j)
 
 
-def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Coefficients of Lambda(u) on each highest-weight eigenstate of a sector.
 
     Returns ``(coeffs, states)``.  ``coeffs`` has shape (d, n + 1), column
     j holding the coefficient of u^j, one row per eigenstate of the
     d-dimensional highest-weight subspace (ker S^+ in the ell-magnon
-    sector), which every t(u) preserves.  ``states`` has shape
-    (C(n, ell), d): column k is the unit eigenvector of row k, indexed
-    like ``hilbert.sector_basis(n, ell)``.  The rows are grouped by
-    momentum q = 0..n-1.
+    sector), which every t(u) preserves.  The rows are grouped by
+    momentum q = 0..n-1.  ``states`` holds one array per q: ``states[q]``
+    has shape (len(``hilbert.momentum_orbits(n, ell, q)``), d_q), and its
+    columns are the unit eigenvectors of block q's d_q rows, in that
+    block's |r, q> basis.
 
     t(u) commutes with the one-site shift U, so it is diagonalized on
     each momentum block (ell, q) separately: the monodromy runs on the
@@ -178,18 +179,14 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]
         for stack, w, block in zip(stacks, kernels, hilbert.momentum_blocks(a, n, ell)):
             stack[j] = w.conj().T @ block @ w
             stack[j] -= (2 * u**n + casimir * u ** (n - 2)) * np.eye(len(stack[j]))
-    dim = sum(w.shape[1] for w in kernels)
-    lam = np.zeros((dim, n + 1), dtype=complex)
-    states = np.empty((hilbert.binomial(n, ell), dim), dtype=complex)
-    start = 0
-    for q, (stack, w) in enumerate(zip(stacks, kernels)):
-        stop = start + w.shape[1]
+    lam, states = [], []
+    for stack, w in zip(stacks, kernels):
         np.fft.fft(stack, axis=0, out=stack)
         stack /= m  # stack[j] = C_j
         _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), stack, 1))
-        lam[start:stop, :m] = np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in stack]).T
-        states[:, start:stop] = hilbert.momentum_states(n, ell, q, w @ vecs)
-        start = stop
+        lam.append(np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in stack]).T)
+        states.append(w @ vecs)
+    lam = np.pad(np.concatenate(lam), ((0, 0), (0, n + 1 - m)))
     lam[:, n - 2] += casimir
     lam[:, n] += 2
     return lam, states

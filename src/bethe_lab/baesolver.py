@@ -286,15 +286,16 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     and its other roots may not collide with it.  A state is kept when
     the relative TQ residual of its Q is at most ``TQ_TOL``, when it
     classifies as regular or physical singular, and when its closed-form
-    energy (``energy.energy_of``) equals <x|H|x> on the sector
-    Hamiltonian within ``ENERGY_TOL`` * max(1, |E|).  A state
-    that fails is dropped, so it shows up as a count shortfall in the
-    caller's audit against the rigged configuration census; no check
-    looks for repeated sets, because two highest-weight states never
-    share one Lambda (Mukhin, Tarasov & Varchenko).  The roots are
-    exactly real or come in exact conjugate pairs, and a state whose
-    Lambda is not real is dropped (see ``_tq_roots``).  ``residual`` is
-    the TQ residual.
+    energy (``energy.energy_of``) equals <x|H|x> / <x|x> within
+    ``ENERGY_TOL`` * max(1, |E|).  Both are taken in the momentum block
+    q where x was found, as x_q^H H_q x_q and x_q^H x_q with H_q from
+    ``hilbert.hamiltonian_blocks``.  A state that fails is dropped, so it
+    shows up as a count shortfall in the caller's audit against the
+    rigged configuration census; no check looks for repeated sets,
+    because two highest-weight states never share one Lambda (Mukhin,
+    Tarasov & Varchenko).  The roots are exactly real or come in exact
+    conjugate pairs, and a state whose Lambda is not real is dropped
+    (see ``_tq_roots``).  ``residual`` is the TQ residual.
     """
     # local: abba and energy import this module at their top
     from . import abba, energy
@@ -305,10 +306,10 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
         return [RootSet(n, (), REGULAR, 0.0)]
 
     lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
-    h_states = hilbert.apply_hamiltonian(n, ell, states)
-    rayleigh = (states.conj() * h_states).sum(axis=0).real / (
-        np.abs(states) ** 2
-    ).sum(axis=0)
+    h_blocks = hilbert.hamiltonian_blocks(n, ell)
+    rayleigh = np.concatenate(
+        [(x.conj() * (h @ x)).sum(0).real / (abs(x) ** 2).sum(0) for h, x in zip(h_blocks, states)]
+    )
 
     out = []
     for roots, tq_residual, e_state in zip(*_tq_roots(lam_coeffs, n, ell), rayleigh):

@@ -66,6 +66,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_rc(args) -> int:
+    hilbert._check_n(args.n)
     ells = [args.ell] if args.ell is not None else list(range(args.n // 2 + 1))
     for ell in ells:
         rcs = rigged.enumerate_rcs(args.n, ell)

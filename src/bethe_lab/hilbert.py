@@ -13,7 +13,7 @@ H conserves the magnon number ell and commutes with the one-site shift
 U, so the exact diagonalization never forms a whole sector: each
 (ell, q) momentum block, about C(n, ell)/n wide, is built from the
 columns H|r> of the translation-orbit representatives |r>
-(``translation_orbits``, ``momentum_blocks``), and the same blocks of
+(``translation_orbits``, ``hamiltonian_blocks``), and the same blocks of
 S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).  H
 itself acts on vectors through its n bond swaps (``apply_hamiltonian``).
 """
@@ -180,9 +180,20 @@ def translation_orbits(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     return shifts, lengths
 
 
+@functools.lru_cache(maxsize=None)
 def momentum_orbits(n: int, ell: int, q: int) -> np.ndarray:
-    """The orbits r of the ell-magnon sector that carry momentum q: q L_r = 0 mod n."""
-    return np.flatnonzero(q * translation_orbits(n, ell)[1] % n == 0)
+    """The orbits r of the ell-magnon sector that carry momentum q: q L_r = 0 mod n.
+
+    Block q of a momentum-block operator has one row per such orbit, in
+    the basis of the unit U-eigenvectors
+
+        |r, q> = L_r^(-1/2) sum_(s < L_r) e^(-2 pi i q s / n) U^s |r>,
+
+    with eigenvalue e^(2 pi i q / n).
+    """
+    keep = np.flatnonzero(q * translation_orbits(n, ell)[1] % n == 0)
+    keep.flags.writeable = False
+    return keep
 
 
 def orbit_representatives(n: int, ell: int) -> np.ndarray:
@@ -191,23 +202,6 @@ def orbit_representatives(n: int, ell: int) -> np.ndarray:
     e = np.zeros((binomial(n, ell), len(reps)))
     e[reps, np.arange(len(reps))] = 1.0
     return e
-
-
-def momentum_states(n: int, ell: int, q: int, c: np.ndarray) -> np.ndarray:
-    """sum_r c[r] |r, q> in sector coordinates, for block coordinates ``c`` of shape (o_q, m).
-
-    |r, q> = L_r^(-1/2) sum_(s < L_r) e^(-2 pi i q s / n) U^s |r> is a
-    unit eigenvector of U with eigenvalue e^(2 pi i q / n); the rows of
-    ``c`` follow ``momentum_orbits(n, ell, q)``.
-    """
-    shifts, lengths = translation_orbits(n, ell)
-    keep = momentum_orbits(n, ell, q)
-    # s mod L_r: every shift of an orbit writes the one value of its state
-    s = np.arange(n) % lengths[keep, None]
-    phase = np.exp(-2j * np.pi * q * s / n) / np.sqrt(lengths[keep, None])
-    out = np.zeros((binomial(n, ell), c.shape[1]), dtype=complex)
-    out[shifts[keep]] = phase[:, :, None] * c[:, None, :]
-    return out
 
 
 def momentum_blocks(
@@ -234,11 +228,16 @@ def momentum_blocks(
     ]
 
 
+def hamiltonian_blocks(n: int, ell: int) -> list[np.ndarray]:
+    """The momentum blocks <r', q|H|r, q>, q = 0..n-1, of the ell-magnon sector."""
+    return momentum_blocks(apply_hamiltonian(n, ell, orbit_representatives(n, ell)), n, ell)
+
+
 def highest_weight_blocks(n: int, ell: int) -> list[np.ndarray]:
     """Orthonormal basis of ker S^+ in each momentum block (ell, q), q = 0..n-1.
 
     Block q's basis has a row per ``momentum_orbits(n, ell, q)``, in the
-    coordinates of ``momentum_states``.  S^+ commutes with U, so it maps
+    |r, q> basis of that block.  S^+ commutes with U, so it maps
     block (ell, q) into (ell - 1, q); its columns S^+|r> are built with
     bit operations, and the kernel of each block s is the eigenspace of
     S^- S^+ = s^H s below 0.5: on spin S with S_z = n/2 - ell, S^- S^+
@@ -337,7 +336,7 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
     sector ell onto sector n - ell and leaves H alone, so only the
     sectors with ell <= n/2 are diagonalized, and a block with
     ell < n/2 is counted twice.  Each block comes from the columns
-    H|r> of the orbit representatives (``momentum_blocks``) and goes
+    H|r> of the orbit representatives (``hamiltonian_blocks``) and goes
     through ``eig_hermitian`` and its checks.  The largest sector,
     ell = n // 2, is checked against ``SECTOR_DIM_CAP`` before any
     eigensolve.
@@ -350,8 +349,7 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
         )
     eigs = []
     for ell in range(n // 2 + 1):
-        h_reps = apply_hamiltonian(n, ell, orbit_representatives(n, ell))
-        for block in momentum_blocks(h_reps, n, ell):
+        for block in hamiltonian_blocks(n, ell):
             w = eig_hermitian(block)[0]
             eigs += [w, w] if 2 * ell < n else [w]
     return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))

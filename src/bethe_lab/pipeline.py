@@ -10,6 +10,7 @@ physical singular states.  All energies are stored in units of J.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -82,12 +83,17 @@ def multiset_subtract(
 ) -> list[tuple[float, int]]:
     """Level multiset a minus b; negative remainders are clipped at zero.
 
-    Each level of b comes off the nearest level of a within ``tol``, so
-    two distinct levels closer than ``tol`` are each matched to their own.
+    ``a`` must be in ascending energy order, as exact-spectrum levels,
+    ``merge_levels`` output and earlier differences are.  Each level of b comes off the
+    nearest level of a within ``tol``, the lower one on a tie, so two
+    distinct levels closer than ``tol`` are each matched to their own.
     """
     remaining = [list(x) for x in a]
+    energies = [e for e, _ in a]
     for e, m in b:
-        near = [entry for entry in remaining if abs(entry[0] - e) <= tol]
+        i = bisect.bisect_left(energies, e)
+        # the two neighbours of e, lower first, so that a tie takes the lower level
+        near = [entry for entry in remaining[max(i - 1, 0) : i + 1] if abs(entry[0] - e) <= tol]
         if near:
             min(near, key=lambda entry: abs(entry[0] - e))[1] -= m
     return [(e, m) for e, m in remaining if m > 0]

@@ -4,9 +4,10 @@ The package works on state vectors and magnon sectors and never builds
 these matrices; the tests build them, for small n, to check the
 package's operators against the textbook definitions.  The plain Bethe
 vector, the regularized rapidity list, the epsilon-ladder
-log-derivative energy, the whole-sector ker S^+ basis and the
-dense-Toeplitz Nepomechie-Wang series and sweep live here too: the
-package's run needs none of them.
+log-derivative energy, the whole-sector ker S^+ basis, the expansion
+of momentum-block states into sector coordinates and the dense-Toeplitz
+Nepomechie-Wang series and sweep live here too: the package's run needs
+none of them.
 """
 
 from __future__ import annotations
@@ -83,6 +84,24 @@ def embed(n: int, ell: int, v) -> np.ndarray:
     full = np.zeros((1 << n, *v.shape[1:]), dtype=complex)
     full[hilbert.sector_basis(n, ell)] = v
     return full
+
+
+def momentum_states(n: int, ell: int, q: int, c: np.ndarray) -> np.ndarray:
+    """sum_r c[r] |r, q> in sector coordinates, for block coordinates ``c`` of shape (o_q, m).
+
+    |r, q> = L_r^(-1/2) sum_(s < L_r) e^(-2 pi i q s / n) U^s |r> is a
+    unit eigenvector of U with eigenvalue e^(2 pi i q / n); the rows of
+    ``c`` follow ``hilbert.momentum_orbits(n, ell, q)``.  The package
+    keeps its momentum-block states in these block coordinates.
+    """
+    shifts, lengths = hilbert.translation_orbits(n, ell)
+    keep = hilbert.momentum_orbits(n, ell, q)
+    # s mod L_r: every shift of an orbit writes the one value of its state
+    s = np.arange(n) % lengths[keep, None]
+    phase = np.exp(-2j * np.pi * q * s / n) / np.sqrt(lengths[keep, None])
+    out = np.zeros((hilbert.binomial(n, ell), c.shape[1]), dtype=complex)
+    out[shifts[keep]] = phase[:, :, None] * c[:, None, :]
+    return out
 
 
 def raising_operator(n: int) -> np.ndarray:

@@ -338,6 +338,13 @@ def test_transfer_eigenvalue_matches_operator_action():
         assert np.linalg.norm(tau_psi - val * psi) <= 1e-9 * abs(val) * np.linalg.norm(psi)
 
 
+def _sector_states(n, ell, blocks):
+    """The momentum-block states of ``transfer_eigenpolynomials``, expanded into sector coordinates."""
+    return np.concatenate(
+        [dense_ops.momentum_states(n, ell, q, x) for q, x in enumerate(blocks)], axis=1
+    )
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_transfer_eigenpolynomials_match_full_dft(n):
     # t(u) restricted to ker S^+ at all n + 1 roots of unity, transformed
@@ -357,7 +364,7 @@ def test_transfer_eigenpolynomials_match_full_dft(n):
         assert np.abs(full[n] - 2 * eye).max() <= 1e-12
         assert np.abs(full[n - 1]).max() <= 1e-12
         assert np.abs(full[n - 2] - (0.75 * n - spin * (spin + 1)) * eye).max() <= 1e-12
-        x = basis.T @ states
+        x = basis.T @ _sector_states(n, ell, states)
         from_dft = np.array([((c @ x) * x.conj()).sum(axis=0) for c in full]).T
         assert np.abs(coeffs - from_dft).max() <= 1e-12 * max(1.0, np.abs(from_dft).max())
 
@@ -371,7 +378,7 @@ def test_transfer_momentum_blocks_match_projection(n):
     for ell in range(n // 2 + 1):
         a, _, _, d = abba.apply_monodromy(u, n, ell, hilbert.orbit_representatives(n, ell))
         for q, block in enumerate(hilbert.momentum_blocks(a + d, n, ell)):
-            states = hilbert.momentum_states(n, ell, q, np.eye(len(block)))
+            states = dense_ops.momentum_states(n, ell, q, np.eye(len(block)))
             a, _, _, d = abba.apply_monodromy(u, n, ell, states)
             ref = states.conj().T @ (a + d)
             assert np.abs(block - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0)), (ell, q)
@@ -380,7 +387,8 @@ def test_transfer_momentum_blocks_match_projection(n):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_transfer_eigenpolynomials_match_solved_states(ell, solved):
     n = 6
-    coeffs, vecs = abba.transfer_eigenpolynomials(n, ell)
+    coeffs, blocks = abba.transfer_eigenpolynomials(n, ell)
+    vecs = _sector_states(n, ell, blocks)
     states = solved(n, ell)
     assert coeffs.shape == (len(states), n + 1)
     assert vecs.shape == (hilbert.binomial(n, ell), len(states))

@@ -6,6 +6,7 @@ import pytest
 
 from bethe_lab import abba, baesolver as bs
 
+import dense_ops
 import mp_newton
 import tq_reference
 from multiset import multiset_eq
@@ -316,23 +317,47 @@ def test_energy_check_drops_swapped_eigenvectors(n, ell, solved, monkeypatch):
     from bethe_lab import hilbert
 
     full = solved(n, ell)  # before the patch: the fixture solves on first use
-    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+    lam_coeffs, blocks = abba.transfer_eigenpolynomials(n, ell)
     h = hilbert.sector_hamiltonian(n, ell)
-    energies = (states.conj() * (h @ states)).sum(axis=0).real
-    a, b = next(
-        (i, j)
-        for i, j in itertools.combinations(range(len(energies)), 2)
-        if abs(energies[i] - energies[j]) > 1e-3
+    energies = []
+    for q, x in enumerate(blocks):
+        states = dense_ops.momentum_states(n, ell, q, x)
+        energies.append((states.conj() * (h @ states)).sum(axis=0).real)
+    # two eigenvectors of one momentum block with distinct energies
+    q, i, j = next(
+        (q, i, j)
+        for q, e in enumerate(energies)
+        for i, j in itertools.combinations(range(len(e)), 2)
+        if abs(e[i] - e[j]) > 1e-3
     )
-    swapped = states.copy()
-    swapped[:, [a, b]] = states[:, [b, a]]
+    swapped = list(blocks)
+    swapped[q] = blocks[q].copy()
+    swapped[q][:, [i, j]] = blocks[q][:, [j, i]]
     monkeypatch.setattr(abba, "transfer_eigenpolynomials", lambda *_: (lam_coeffs, swapped))
     kept = bs.solve_sector(n, ell)
-    dropped = bs._tq_roots(lam_coeffs[[a, b]], n, ell)[0]
+    start = sum(x.shape[1] for x in blocks[:q])  # first row of block q in lam_coeffs
+    dropped = bs._tq_roots(lam_coeffs[[start + i, start + j]], n, ell)[0]
     assert len(kept) == len(full) - 2
     for s in full:
         gone = any(multiset_eq(s.roots, roots, 1e-6) for roots in dropped)
         assert (s in kept) != gone, s
+
+
+def test_energy_is_certified_inside_momentum_blocks(monkeypatch):
+    # H acts only on the 80 orbit representatives of the (12, 6) sector,
+    # never on the 132 highest-weight states in sector coordinates
+    from bethe_lab import hilbert
+
+    widths = []
+    apply_hamiltonian = hilbert.apply_hamiltonian
+
+    def spy(n, ell, psi):
+        widths.append(psi.shape[1] if psi.ndim == 2 else 1)
+        return apply_hamiltonian(n, ell, psi)
+
+    monkeypatch.setattr(hilbert, "apply_hamiltonian", spy)
+    bs.solve_sector(12, 6)
+    assert widths and max(widths) <= len(hilbert.translation_orbits(12, 6)[1]) == 80, widths
 
 
 def test_count_identity_small_chains(solved):

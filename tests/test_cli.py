@@ -129,6 +129,9 @@ _REPORT_N2 = {
         ({}, ["run", "--n", "2", "--out", "no_sectors.json/r.json"]),
         ({}, ["run", "--n", "2", "--out", "r.json", "--csv", "no_sectors.json/r.csv"]),
         ({}, ["plot", "--in", "report_n2.json", "--out", "no_sectors.json/x"]),
+        # rc checks the chain-length cap before it enumerates anything
+        ({}, ["rc", "--n", "15", "--ell", "7"]),
+        ({}, ["rc", "--n", "-4"]),
     ],
 )
 def test_bad_input_is_one_line_error(env, argv, capsys, monkeypatch, tmp_path):

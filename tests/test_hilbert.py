@@ -252,7 +252,7 @@ def test_momentum_states_are_translation_eigenvectors(n):
         blocks = []
         for q in range(n):
             dim = len(hilbert.momentum_orbits(n, ell, q))
-            full = dense_ops.embed(n, ell, hilbert.momentum_states(n, ell, q, np.eye(dim)))
+            full = dense_ops.embed(n, ell, dense_ops.momentum_states(n, ell, q, np.eye(dim)))
             assert np.abs(u @ full - np.exp(2j * np.pi * q / n) * full).max(initial=0.0) <= 1e-12
             blocks.append(full)
         full = np.concatenate(blocks, axis=1)
@@ -270,7 +270,7 @@ def test_hamiltonian_momentum_blocks_match_sector(n):
         reps = hilbert.orbit_representatives(n, ell)
         blocks = hilbert.momentum_blocks(hilbert.apply_hamiltonian(n, ell, reps), n, ell)
         for q, block in enumerate(blocks):
-            states = hilbert.momentum_states(n, ell, q, np.eye(len(block)))
+            states = dense_ops.momentum_states(n, ell, q, np.eye(len(block)))
             assert np.abs(block - states.conj().T @ h @ states).max(initial=0.0) <= 1e-12
         w = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12
@@ -284,7 +284,7 @@ def test_highest_weight_blocks_span_ker_s_plus(n):
         d = hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)
         assert sum(w.shape[1] for w in kernels) == d
         states = np.concatenate(
-            [hilbert.momentum_states(n, ell, q, w) for q, w in enumerate(kernels)], axis=1
+            [dense_ops.momentum_states(n, ell, q, w) for q, w in enumerate(kernels)], axis=1
         )
         assert np.abs(states.conj().T @ states - np.eye(d)).max() <= 1e-12
         assert np.abs(s_plus @ dense_ops.embed(n, ell, states)).max() <= 1e-12

@@ -133,6 +133,8 @@ def test_merge_and_subtract_helpers():
     a = [(1.0, 10), (1.000001, 18)]
     assert pipeline.multiset_subtract(a, [(1.000001, 18), (1.0, 10)], 1e-5) == []
     assert pipeline.multiset_subtract(a, [(1.000001, 18)], 1e-5) == [(1.0, 10)]
+    # a level of b midway between two of a comes off the lower one
+    assert pipeline.multiset_subtract([(1.0, 1), (1.5, 1)], [(1.25, 1)], 0.5) == [(1.5, 1)]
 
 
 @pytest.mark.parametrize("n", range(2, 13))
