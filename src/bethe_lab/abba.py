@@ -25,6 +25,11 @@ one shifted add per nonzero higher coefficient, which widens the eps
 axis by the degree, and one scaled add of the constant term.  The
 Nepomechie-Wang vectors, which vanish to order eps^n, are built that way
 in float64 with no cancellation.
+
+P_k is real, so conj L_k(L) = -L_k(-conj L), and on real vectors
+T(-conj L) = (-1)^n conj T(L) bit for bit.  The transfer-matrix
+eigenpolynomials use this to run the monodromy at half of their nodes
+and to diagonalize half of the momentum blocks.
 """
 
 from __future__ import annotations
@@ -160,32 +165,54 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, list[np.nda
     fixed: t(u) = 2 u^n + (3n/4 - S(S + 1)) u^(n-2) + (degree <= n - 3),
     since the u^(n-1) term is the trace of a Pauli matrix and the
     u^(n-2) term is -(1/2) sum_{j<k} sigma_j . sigma_k.  So t(u) minus
-    those two terms is sampled at the m = max(n - 2, 1) m-th roots of
-    unity, and each block's restricted coefficient matrices C_j, j < m,
-    come from a discrete Fourier transform.  One generic combination
-    sum_j C_j u*^j is diagonalized per block, and since the C_j commute,
-    each eigenvector x gives every C_j as the Rayleigh quotient
-    x^H C_j x; the two exact terms are added back to those.
+    those two terms is sampled at the m = max(n - 2, 1) nodes
+    u_j = i w^j, w = e^(2 pi i / m), and each block's restricted
+    coefficient matrices C_k, k < m, come from a discrete Fourier
+    transform, divided by i^k.  One generic combination sum_k C_k u*^k
+    is diagonalized per block, and since the C_k commute, each
+    eigenvector x gives every C_k as the Rayleigh quotient x^H C_k x;
+    the two exact terms are added back to those.
+
+    The representatives are real, so t(-conj u) = (-1)^n conj t(u) on
+    them, and block n - q of t(u) is the conjugate of block q in the
+    conjugate bases W_(n-q) = conj(W_q).  Node m - j is -conj(u_j), so
+    the monodromy runs only at the floor(m/2) + 1 nodes j <= m/2, and
+    the others are filled by conjugation.  Only the blocks q <= n/2 are
+    diagonalized; block n - q has the rows (-1)^(n + k) conj(lambda_k)
+    on the states conj(x).
     """
     kernels = hilbert.highest_weight_blocks(n, ell)
     reps = hilbert.orbit_representatives(n, ell)
     spin = n / 2 - ell
     casimir = 0.75 * n - spin * (spin + 1)
     m = max(n - 2, 1)
-    stacks = [np.empty((m, w.shape[1], w.shape[1]), dtype=complex) for w in kernels]
-    for j, u in enumerate(np.exp(2j * np.pi * np.arange(m) / m)):
+    sampled = []  # sampled[j][q]: block q at node u_j, minus the two exact terms
+    for u in 1j * np.exp(2j * np.pi * np.arange(m // 2 + 1) / m):
         a, _, _, d = apply_monodromy(u, n, ell, reps)
         a += d
-        for stack, w, block in zip(stacks, kernels, hilbert.momentum_blocks(a, n, ell)):
-            stack[j] = w.conj().T @ block @ w
-            stack[j] -= (2 * u**n + casimir * u ** (n - 2)) * np.eye(len(stack[j]))
+        top = 2 * u**n + casimir * u ** (n - 2)
+        sampled.append(
+            [
+                w.conj().T @ block @ w - top * np.eye(w.shape[1])
+                for w, block in zip(kernels, hilbert.momentum_blocks(a, n, ell))
+            ]
+        )
+    sign = (-1) ** n
     lam, states = [], []
-    for stack, w in zip(stacks, kernels):
+    for q in range(n // 2 + 1):
+        # node m - j is -conj(u_j), where block q is (-1)^n conj(block -q mod n at u_j)
+        stack = np.array(
+            [s[q] for s in sampled]
+            + [sign * sampled[m - j][-q].conj() for j in range(m // 2 + 1, m)]
+        )
         np.fft.fft(stack, axis=0, out=stack)
-        stack /= m  # stack[j] = C_j
+        stack /= (m * 1j ** np.arange(m))[:, None, None]  # stack[k] = C_k
         _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), stack, 1))
         lam.append(np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in stack]).T)
-        states.append(w @ vecs)
+        states.append(kernels[q] @ vecs)
+    # block q > n/2 has C_k = (-1)^(n + k) conj(C_k of block n - q), on conj(x)
+    lam += [sign * (-1) ** np.arange(m) * lam[n - q].conj() for q in range(n // 2 + 1, n)]
+    states += [states[n - q].conj() for q in range(n // 2 + 1, n)]
     lam = np.pad(np.concatenate(lam), ((0, 0), (0, n + 1 - m)))
     lam[:, n - 2] += casimir
     lam[:, n] += 2

@@ -16,6 +16,8 @@ columns H|r> of the translation-orbit representatives |r>
 (``translation_orbits``, ``hamiltonian_blocks``), and the same blocks of
 S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).  H
 itself acts on vectors through its n bond swaps (``apply_hamiltonian``).
+H and S^+ are real, so block (ell, n - q) is the complex conjugate of
+block (ell, q), and only the blocks q <= n/2 are ever eigensolved.
 """
 
 from __future__ import annotations
@@ -244,6 +246,11 @@ def highest_weight_blocks(n: int, ell: int) -> list[np.ndarray]:
     is S(S + 1) - S_z(S_z + 1), an integer that is 0 or at least 2 for
     ell <= n/2.  For ell <= n/2 the kernels have dimensions summing to
     C(n, ell) - C(n, ell - 1).
+
+    S^+ is real, so block n - q of it is the conjugate of block q: the
+    kernel is solved for q <= n/2, and block n - q gets exactly conj(W_q).
+    Blocks q = 0 and n/2 are their own conjugates, and their bases are
+    real, from the real part of their Gram matrix.
     """
     idx = sector_basis(n, ell)
     if len(idx) > SECTOR_DIM_CAP:
@@ -258,11 +265,14 @@ def highest_weight_blocks(n: int, ell: int) -> list[np.ndarray]:
         mask = site_mask(k, n)
         down = (reps & mask) != 0
         s[np.searchsorted(lower, reps[down] ^ mask), cols[down]] = 1.0
+    blocks = momentum_blocks(s, n, ell, ell - 1)
     kernels = []
-    for block in momentum_blocks(s, n, ell, ell - 1):
-        w, v = np.linalg.eigh(block.conj().T @ block)
+    for q in range(n // 2 + 1):
+        gram = blocks[q].conj().T @ blocks[q]
+        # blocks 0 and n/2 are their own conjugates, so their bases are real
+        w, v = np.linalg.eigh(gram.real if 2 * q % n == 0 else gram)
         kernels.append(v[:, w < 0.5])
-    return kernels
+    return kernels + [kernels[n - q].conj() for q in range(n // 2 + 1, n)]
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,11 +345,13 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
     momentum blocks, about C(n, ell)/n wide.  Flipping every spin maps
     sector ell onto sector n - ell and leaves H alone, so only the
     sectors with ell <= n/2 are diagonalized, and a block with
-    ell < n/2 is counted twice.  Each block comes from the columns
-    H|r> of the orbit representatives (``hamiltonian_blocks``) and goes
-    through ``eig_hermitian`` and its checks.  The largest sector,
-    ell = n // 2, is checked against ``SECTOR_DIM_CAP`` before any
-    eigensolve.
+    ell < n/2 is counted twice.  H is real, so block n - q is the
+    conjugate of block q and has its spectrum: only the blocks q <= n/2
+    are diagonalized, and one with 0 < q < n/2 is counted twice too.
+    Each block comes from the columns H|r> of the orbit representatives
+    (``hamiltonian_blocks``) and goes through ``eig_hermitian`` and its
+    checks.  The largest sector, ell = n // 2, is checked against
+    ``SECTOR_DIM_CAP`` before any eigensolve.
     """
     _check_n(n)
     largest = binomial(n, n // 2)
@@ -349,9 +361,9 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
         )
     eigs = []
     for ell in range(n // 2 + 1):
-        for block in hamiltonian_blocks(n, ell):
+        for q, block in enumerate(hamiltonian_blocks(n, ell)[: n // 2 + 1]):
             w = eig_hermitian(block)[0]
-            eigs += [w, w] if 2 * ell < n else [w]
+            eigs += [w] * ((2 if 2 * ell < n else 1) * (2 if 2 * q % n else 1))
     return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 

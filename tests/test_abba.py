@@ -348,8 +348,9 @@ def _sector_states(n, ell, blocks):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_transfer_eigenpolynomials_match_full_dft(n):
     # t(u) restricted to ker S^+ at all n + 1 roots of unity, transformed
-    # here; the package samples only max(n - 2, 1) nodes and adds the
-    # fixed 2 u^n + (3n/4 - S(S + 1)) u^(n-2) back by hand
+    # here; the package runs the monodromy at only floor(m/2) + 1 of its
+    # m = max(n - 2, 1) nodes i w^j, fills the rest by conjugation, and
+    # adds the fixed 2 u^n + (3n/4 - S(S + 1)) u^(n-2) back by hand
     nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     for ell in range(n // 2 + 1):
         coeffs, states = abba.transfer_eigenpolynomials(n, ell)
@@ -382,6 +383,50 @@ def test_transfer_momentum_blocks_match_projection(n):
             a, _, _, d = abba.apply_monodromy(u, n, ell, states)
             ref = states.conj().T @ (a + d)
             assert np.abs(block - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0)), (ell, q)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_monodromy_at_minus_conjugate_rapidity(n):
+    # conj L_k(u) = -L_k(-conj u) for L_k = (u - i/2) + i P_k, so on the
+    # real orbit representatives T(-conj u) = (-1)^n conj T(u), bit for bit
+    for ell in range(n + 1):
+        reps = hilbert.orbit_representatives(n, ell)
+        for u in _random_lams(3, seed=40 + n):
+            blocks = abba.apply_monodromy(u, n, ell, reps)
+            mirrored = abba.apply_monodromy(-u.conjugate(), n, ell, reps)
+            for x, y in zip(blocks, mirrored, strict=True):
+                assert np.array_equal(y, (-1) ** n * x.conj()), (ell, u)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_transfer_eigenpolynomials_conjugate_blocks(n):
+    # block q > n/2 is derived from block n - q: Lambda rows
+    # (-1)^(n + k) conj(lambda_k) on the states conj(x)
+    sign = (-1) ** (n + np.arange(n + 1))
+    for ell in range(n // 2 + 1):
+        coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+        rows = np.split(coeffs, np.cumsum([x.shape[1] for x in states])[:-1])
+        for q in range(n // 2 + 1, n):
+            assert np.array_equal(rows[q], sign * rows[n - q].conj()), (ell, q)
+            assert np.array_equal(states[q], states[n - q].conj()), (ell, q)
+
+
+def test_transfer_eigenpolynomials_run_half_the_nodes(monkeypatch):
+    # floor(m/2) + 1 monodromy runs of the m = max(n - 2, 1) nodes
+    calls = []
+    apply_monodromy = abba.apply_monodromy
+
+    def counting(lam, n, ell, psi):
+        calls.append(lam)
+        return apply_monodromy(lam, n, ell, psi)
+
+    monkeypatch.setattr(abba, "apply_monodromy", counting)
+    for n in range(2, 11):
+        m = max(n - 2, 1)
+        for ell in range(1, n // 2 + 1):
+            calls.clear()
+            abba.transfer_eigenpolynomials(n, ell)
+            assert len(calls) == m // 2 + 1, (n, ell)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])

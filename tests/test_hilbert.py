@@ -288,3 +288,34 @@ def test_highest_weight_blocks_span_ker_s_plus(n):
         )
         assert np.abs(states.conj().T @ states - np.eye(d)).max() <= 1e-12
         assert np.abs(s_plus @ dense_ops.embed(n, ell, states)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_momentum_block_n_minus_q_is_conjugate_of_block_q(n):
+    # S^+ and H are real, so their block n - q is the conjugate of block
+    # q; ker S^+ is taken exactly so, with real bases on the self-conjugate
+    # blocks q = 0 and n/2, and exact_spectrum counts block 0 < q < n/2 twice
+    for ell in range(n // 2 + 1):
+        kernels = hilbert.highest_weight_blocks(n, ell)
+        blocks = hilbert.hamiltonian_blocks(n, ell)
+        for q in range(n):
+            assert np.array_equal(kernels[-q], kernels[q].conj()), (ell, q)
+            assert np.abs(blocks[-q] - blocks[q].conj()).max(initial=0.0) <= 1e-12, (ell, q)
+            if 2 * q % n == 0:  # q = 0 or n/2
+                assert np.all(kernels[q].imag == 0), (ell, q)
+
+
+def test_exact_spectrum_eigensolves_only_blocks_up_to_half(monkeypatch):
+    # sectors ell <= n/2 and, in each, momentum blocks q <= n/2
+    calls = []
+    eig_hermitian = hilbert.eig_hermitian
+
+    def counting(m):
+        calls.append(len(m))
+        return eig_hermitian(m)
+
+    monkeypatch.setattr(hilbert, "eig_hermitian", counting)
+    for n in range(2, 13):
+        calls.clear()
+        hilbert.exact_spectrum(n)
+        assert len(calls) == (n // 2 + 1) ** 2, n
