@@ -25,7 +25,10 @@ regular and physical singular solutions.  Each state is certified in
 float64 by two checks that do not cancel: the relative TQ residual of
 its Q, and the agreement of the closed-form energy of its roots with
 <x|H|x> of its own transfer-matrix eigenvector x.  These two checks
-are the only filter: roots are neither snapped nor deduplicated.  Q is
+and ``classify`` are the only filter, and no set is deduplicated.
+``classify`` holds the one singular-pair rule: it snaps a pair within
+``TOL_SINGULAR`` of {i/2, -i/2} to that exact pair and tags a set
+strange when another root collides with the pair.  Q is
 solved in real arithmetic, so its roots are exactly real or exact
 conjugate pairs, and a state whose Lambda is not real fails the TQ
 check.  The residual system above is kept as an independent score of a
@@ -212,16 +215,26 @@ def nw_constants(rootset: RootSet) -> tuple[complex, complex]:
 
 
 def classify(rootset: RootSet) -> RootSet:
-    """Tag a converged root set as regular / physical / non-physical / strange."""
-    roots = rootset.roots
-    if _has_duplicates(roots, TOL_EQUAL):
+    """Tag a root set as regular / physical / non-physical / strange.
+
+    This is where the singular-pair rule lives: a set holding the pair
+    {i/2, -i/2} within ``TOL_SINGULAR`` gets that pair exactly, and it is
+    strange when another of its roots also lies within ``TOL_SINGULAR``
+    of i/2 or -i/2 (a pole of the ``nw_constants`` formulas), as it is
+    when two roots agree within ``TOL_EQUAL``.  The roots come back in
+    ``canonical_roots`` order.
+    """
+    others = singular_partners(rootset.roots)
+    roots = rootset.roots if others is None else (0.5j, -0.5j, *others)
+    rootset = replace(rootset, roots=canonical_roots(roots))
+    if _has_duplicates(rootset.roots, TOL_EQUAL) or any(map(_pair_side, others or ())):
         return replace(rootset, classification=STRANGE)
-    if singular_partners(roots) is not None:
-        c1, c2 = nw_constants(rootset)
-        if abs(c1 - c2) <= 1e-8 * max(1.0, abs(c1), abs(c2)):
-            return replace(rootset, classification=PHYSICAL_SINGULAR)
-        return replace(rootset, classification=NONPHYSICAL_SINGULAR)
-    return replace(rootset, classification=REGULAR)
+    if others is None:
+        return replace(rootset, classification=REGULAR)
+    c1, c2 = nw_constants(rootset)
+    if abs(c1 - c2) <= 1e-8 * max(1.0, abs(c1), abs(c2)):
+        return replace(rootset, classification=PHYSICAL_SINGULAR)
+    return replace(rootset, classification=NONPHYSICAL_SINGULAR)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +295,22 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
 
     One state per highest-weight eigenstate x of the transfer matrix: its
     eigenvalue Lambda(u) fixes Baxter's Q, whose roots are the Bethe
-    roots.  A set holding the pair {i/2, -i/2} gets that pair exactly,
-    and its other roots may not collide with it.  A state is kept when
-    the relative TQ residual of its Q is at most ``TQ_TOL``, when it
-    classifies as regular or physical singular, and when its closed-form
-    energy (``energy.energy_of``) equals <x|H|x> / <x|x> within
-    ``ENERGY_TOL`` * max(1, |E|).  Both are taken in the momentum block
-    q where x was found, as x_q^H H_q x_q and x_q^H x_q with H_q from
-    ``hilbert.hamiltonian_blocks``.  A state that fails is dropped, so it
-    shows up as a count shortfall in the caller's audit against the
-    rigged configuration census; no check looks for repeated sets,
-    because two highest-weight states never share one Lambda (Mukhin,
-    Tarasov & Varchenko).  The roots are exactly real or come in exact
-    conjugate pairs, and a state whose Lambda is not real is dropped
-    (see ``_tq_roots``).  ``residual`` is the TQ residual.
+    roots.  A state is kept when the relative TQ residual of its Q is at
+    most ``TQ_TOL``, when ``classify`` tags it regular or physical
+    singular, and when its closed-form energy (``energy.energy_of``)
+    equals <x|H|x> / <x|x> within ``ENERGY_TOL`` * max(1, |E|).  Both
+    are taken in the momentum block q where x was found, as
+    x_q^H H_q x_q and x_q^H x_q with H_q from
+    ``hilbert.hamiltonian_blocks``.  The singular-pair rule is
+    ``classify``'s alone: it gives a set holding the pair {i/2, -i/2}
+    that pair exactly, tags it strange when another root collides with
+    the pair, and returns the roots in canonical order.  A state that
+    fails is dropped, so it shows up as a count shortfall in the
+    caller's audit against the rigged configuration census; no check
+    looks for repeated sets, because two highest-weight states never
+    share one Lambda (Mukhin, Tarasov & Varchenko).  The roots are
+    exactly real or come in exact conjugate pairs, and a state whose
+    Lambda is not real is dropped (see ``_tq_roots``).  ``residual`` is the TQ residual.
     """
     # local: abba and energy import this module at their top
     from . import abba, energy
@@ -315,13 +330,7 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     for roots, tq_residual, e_state in zip(*_tq_roots(lam_coeffs, n, ell), rayleigh):
         if not tq_residual <= TQ_TOL:
             continue
-        others = singular_partners(roots)
-        if others is not None:
-            # extra roots may not collide with the fixed pair
-            if any(map(_pair_side, others)):
-                continue
-            roots = (0.5j, -0.5j, *others)
-        rs = classify(RootSet(n, canonical_roots(roots), residual=float(tq_residual)))
+        rs = classify(RootSet(n, tuple(roots), residual=float(tq_residual)))
         if rs.classification not in (REGULAR, PHYSICAL_SINGULAR):
             continue
         e = energy.energy_of(rs)
@@ -333,7 +342,3 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     out.sort(key=lambda rs: tuple(map(_root_key, rs.roots)))
     return out
 
-
-def sector_target_count(n: int, ell: int) -> int:
-    """Highest-weight state count C(n,ell) - C(n,ell-1) the solver aims for."""
-    return hilbert.binomial(n, ell) - hilbert.binomial(n, ell - 1)

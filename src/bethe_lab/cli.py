@@ -54,7 +54,7 @@ def _cmd_diag(args) -> int:
 
 def _cmd_solve(args) -> int:
     sols = baesolver.solve_sector(args.n, args.ell)
-    target = baesolver.sector_target_count(args.n, args.ell)
+    target = rigged.rc_count(args.n, args.ell)
     for rs in sols:
         roots = ", ".join(f"{z.real:+.9f}{z.imag:+.9f}i" for z in rs.roots)
         print(
@@ -69,12 +69,10 @@ def _cmd_rc(args) -> int:
     hilbert._check_n(args.n)
     ells = [args.ell] if args.ell is not None else list(range(args.n // 2 + 1))
     for ell in ells:
-        rcs = rigged.enumerate_rcs(args.n, ell)
-        print(f"n={args.n} ell={ell}: {len(rcs)} rigged configurations")
+        print(f"n={args.n} ell={ell}: {rigged.rc_count(args.n, ell)} rigged configurations")
         if args.verbose:
-            for rc in rcs:
+            for rc in rigged.enumerate_rcs(args.n, ell):
                 print(f"  nu={rc.nu} riggings={rc.riggings}")
-        rigged.rc_count(args.n, ell)  # census consistency check
     return 0
 
 

@@ -259,37 +259,19 @@ def emit_report(report: RunReport, path: str, fmt: str = "json") -> dict:
     if fmt == "json":
         _atomic_write(path, json.dumps(data, indent=2) + "\n")
     elif fmt == "csv":
-        rows = []
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(
+            ["n", "ell", "classification", "roots", "energy", "multiplicity", "residual"]
+        )
         for sec in data["sectors"]:
             for sol in sec["solutions"]:
-                rows.append(
-                    {
-                        "n": data["n"],
-                        "ell": sec["ell"],
-                        "classification": sol["classification"],
-                        "roots": ";".join(
-                            f"{r['re']}{r['im']:+}i" for r in sol["roots"]
-                        ),
-                        "energy": sol["energy"],
-                        "multiplicity": sol["multiplicity"],
-                        "residual": sol["residual"] if sol["residual"] is not None else "",
-                    }
-                )
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=[
-                "n",
-                "ell",
-                "classification",
-                "roots",
-                "energy",
-                "multiplicity",
-                "residual",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+                roots = ";".join(f"{r['re']}{r['im']:+}i" for r in sol["roots"])
+                # csv writes a residual of None as the empty field
+                writer.writerow([
+                    data["n"], sec["ell"], sol["classification"], roots,
+                    sol["energy"], sol["multiplicity"], sol["residual"],
+                ])
         _atomic_write(path, buf.getvalue())
     else:
         raise ValueError(f"unsupported report format {fmt!r}")

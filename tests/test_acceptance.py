@@ -254,7 +254,7 @@ def test_criterion_11_completeness_audit(solved):
                 for s in solved(n, ell)
                 if s.classification in (bs.REGULAR, bs.PHYSICAL_SINGULAR)
             )
-            assert found == bs.sector_target_count(n, ell), (n, ell, found)
+            assert found == rigged.rc_count(n, ell), (n, ell, found)
     rep = pipeline.run_pipeline(8)
     assert rep.exit_code == pipeline.EXIT_OK
     assert rep.audit["count_check"] and rep.audit["spectral_closure"]

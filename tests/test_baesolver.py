@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bethe_lab import abba, baesolver as bs
+from bethe_lab import abba, baesolver as bs, rigged
 
 import dense_ops
 import mp_newton
@@ -172,6 +172,19 @@ def test_classify_examples():
         bs.classify(bs.RootSet(6, (0.5j, -0.5j, 0.405233))).classification
         == bs.NONPHYSICAL_SINGULAR
     )
+    # a third root on a pole of the c formulas collides with the pair
+    assert (
+        bs.classify(bs.RootSet(6, (0.5j, -0.5j, 0.5j + 1e-8))).classification
+        == bs.STRANGE
+    )
+
+
+def test_classify_snaps_the_singular_pair_into_canonical_order():
+    rs = bs.classify(bs.RootSet(6, (0.3, 0.5j + 1e-9, -0.5j)))
+    assert rs.roots == (0.3, 0.5j, -0.5j)
+    c1, c2 = bs.nw_constants(bs.RootSet(6, (0.3, 0.5j, -0.5j)))
+    physical = abs(c1 - c2) <= 1e-8 * max(1.0, abs(c1), abs(c2))
+    assert rs.classification == (bs.PHYSICAL_SINGULAR if physical else bs.NONPHYSICAL_SINGULAR)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +382,7 @@ def test_count_identity_small_chains(solved):
             for s in sols
             if s.classification in (bs.REGULAR, bs.PHYSICAL_SINGULAR)
         ]
-        assert len(good) == count == bs.sector_target_count(n, ell)
+        assert len(good) == count == rigged.rc_count(n, ell)
 
 
 def test_solver_returns_no_coincident_root_artefacts(solved):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bethe_lab import baesolver as bs, cli, hilbert, pipeline, plots
+from bethe_lab import baesolver as bs, cli, hilbert, pipeline, plots, rigged
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -150,6 +150,20 @@ def test_bad_input_is_one_line_error(env, argv, capsys, monkeypatch, tmp_path):
 def test_rc_subcommand(capsys):
     assert cli.main(["rc", "--n", "8", "--ell", "3"]) == 0
     assert "28 rigged configurations" in capsys.readouterr().out
+
+
+def test_rc_subcommand_enumerates_each_sector_once(capsys, monkeypatch):
+    calls = []
+    enumerate_rcs = rigged.enumerate_rcs
+
+    def spy(n, ell):
+        calls.append((n, ell))
+        return enumerate_rcs(n, ell)
+
+    monkeypatch.setattr(rigged, "enumerate_rcs", spy)
+    assert cli.main(["rc", "--n", "8"]) == 0
+    assert calls == [(8, ell) for ell in range(5)]
+    assert "n=8 ell=4: 14 rigged configurations" in capsys.readouterr().out
 
 
 def test_plot_subcommand(tmp_path, capsys):
