@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands map onto the module boundaries: ``run`` drives the full
-solve / classify / energize / diagonalize / audit pipeline, ``diag``
+diagonalize / solve / classify / energize / audit pipeline, ``diag``
 prints the exact spectrum, ``solve`` one sector's root sets, ``rc`` the
 rigged-configuration census, and ``plot`` renders root scatters from a
 report file.  ``diag`` and ``run`` share one exact diagonalization,
@@ -37,8 +37,9 @@ def _cmd_run(args) -> int:
     print(f"wrote {args.out}")
     for sec in report.sectors:
         print(f"  ell={sec.ell}: {len(sec.solutions)}/{sec.rc_count} states")
-    print(f"  missing after regular Bethe: {report.missing_levels}")
-    print(f"  recovered by singular states: {report.recovered_by_nw}")
+    for label, key in (("missing after regular Bethe", "missing_levels"),
+                       ("recovered by singular states", "recovered_by_nw")):
+        print(f"  {label}: {[(lv['energy'], lv['multiplicity']) for lv in data[key]]}")
     print(f"  audit: {data['audit']}")
     return report.exit_code
 

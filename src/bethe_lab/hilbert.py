@@ -18,6 +18,11 @@ S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).  H
 itself acts on vectors through its n bond swaps (``apply_hamiltonian``).
 H and S^+ are real, so block (ell, n - q) is the complex conjugate of
 block (ell, q), and only the blocks q <= n/2 are ever eigensolved.
+
+A level is a ``SpectrumEntry`` (energy, multiplicity), and
+``merge_levels`` is the one rule that joins close energies into levels,
+for the exact spectrum here and for the Bethe and singular spectra of
+the pipeline.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -303,38 +308,45 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """One energy level (units of J) with its multiplicity."""
 
     energy: float
     multiplicity: int
 
 
-def spectrum_with_multiplicities(eigs) -> list[SpectrumEntry]:
-    """Merge an ascending eigenvalue list into (energy, multiplicity) entries.
+def merge_levels(entries, tol: float) -> list[SpectrumEntry]:
+    """Combine (energy, multiplicity) pairs whose energies agree within tol.
 
-    Neighbours closer than 1e-8 * max(1, max |E|) join one level.
+    In ascending energy order, a pair within ``tol`` of the running
+    level joins it, and the level moves to the weighted mean.
+    """
+    out: list[list] = []
+    for e, m in sorted(entries):
+        if out and abs(e - out[-1][0]) <= tol:
+            total = out[-1][1] + m
+            out[-1][0] = (out[-1][0] * out[-1][1] + e * m) / total
+            out[-1][1] = total
+        else:
+            out.append([e, m])
+    return [SpectrumEntry(e, m) for e, m in out]
+
+
+def spectrum_with_multiplicities(eigs) -> list[SpectrumEntry]:
+    """Merge an ascending eigenvalue list into (energy, multiplicity) levels.
+
+    Each eigenvalue counts once, and ``merge_levels`` joins them at the
+    tolerance 1e-8 * max(1, max |E|).
     """
     eigs = np.asarray(eigs, dtype=float)
-    if len(eigs) == 0:
-        return []
     if np.any(np.diff(eigs) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    tol = 1e-8 * max(1.0, float(np.abs(eigs).max()))
-    entries: list[SpectrumEntry] = []
-    start = 0
-    for i in range(1, len(eigs) + 1):
-        if i == len(eigs) or eigs[i] - eigs[i - 1] > tol:
-            cluster = eigs[start:i]
-            level = float(cluster.mean())
-            # the E = 0 level is eigensolver noise of either sign; store it exactly
-            if abs(level) <= tol:
-                level = 0.0
-            entries.append(SpectrumEntry(level, len(cluster)))
-            start = i
-    assert sum(e.multiplicity for e in entries) == len(eigs)
-    return entries
+    tol = 1e-8 * float(np.abs(eigs).max(initial=1.0))
+    # the E = 0 level is eigensolver noise of either sign; store it exactly
+    return [
+        SpectrumEntry(0.0 if abs(e) <= tol else e, m)
+        for e, m in merge_levels([(e, 1) for e in eigs.tolist()], tol)
+    ]
 
 
 def exact_spectrum(n: int) -> list[SpectrumEntry]:

@@ -1,11 +1,14 @@
-"""End-to-end bookkeeping: solve, classify, energize, diagonalize, audit.
+"""End-to-end bookkeeping: diagonalize, solve, classify, energize, audit.
 
-The pipeline solves every magnon sector of a chain, attaches energies
-(closed regular formula, singular-state formula, and the log-derivative
-cross-check), diagonalizes the Hamiltonian by momentum block, and
+The pipeline diagonalizes the Hamiltonian by momentum block, which
+refuses an oversized chain before anything is solved, then solves every
+magnon sector of the chain, attaches energies (closed regular formula,
+singular-state formula, and the log-derivative cross-check), and
 reconciles the two spectra: regular Bethe states carry multiplicity
 n - 2 ell + 1, the levels they miss must be covered exactly by the
-physical singular states.  All energies are stored in units of J.
+physical singular states.  Every level multiset, exact or Bethe, is a
+list of ``hilbert.SpectrumEntry`` built by ``hilbert.merge_levels``.
+All energies are stored in units of J.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baesolver, energy, hilbert, rigged
+from .hilbert import SpectrumEntry, merge_levels
 
 SPECTRAL_CLOSURE_TOL = 1e-5
 SCHEMA_VERSION = "bethe-lab/4"
@@ -50,10 +54,10 @@ class SectorReport:
 class RunReport:
     n: int
     sectors: list[SectorReport]
-    diag_spectrum: list[hilbert.SpectrumEntry]
-    bethe_spectrum: list[tuple[float, int]]
-    missing_levels: list[tuple[float, int]]
-    recovered_by_nw: list[tuple[float, int]]
+    diag_spectrum: list[SpectrumEntry]
+    bethe_spectrum: list[SpectrumEntry]
+    missing_levels: list[SpectrumEntry]
+    recovered_by_nw: list[SpectrumEntry]
     audit: dict
 
     @property
@@ -65,22 +69,9 @@ class RunReport:
         return EXIT_OK
 
 
-def merge_levels(entries: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
-    """Combine (energy, multiplicity) pairs whose energies agree within tol."""
-    out: list[list] = []
-    for e, m in sorted(entries):
-        if out and abs(e - out[-1][0]) <= tol:
-            total = out[-1][1] + m
-            out[-1][0] = (out[-1][0] * out[-1][1] + e * m) / total
-            out[-1][1] = total
-        else:
-            out.append([e, m])
-    return [(e, m) for e, m in out]
-
-
 def multiset_subtract(
     a: list[tuple[float, int]], b: list[tuple[float, int]], tol: float
-) -> list[tuple[float, int]]:
+) -> list[SpectrumEntry]:
     """Level multiset a minus b; negative remainders are clipped at zero.
 
     ``a`` must be in ascending energy order, as exact-spectrum levels,
@@ -96,7 +87,7 @@ def multiset_subtract(
         near = [entry for entry in remaining[max(i - 1, 0) : i + 1] if abs(entry[0] - e) <= tol]
         if near:
             min(near, key=lambda entry: abs(entry[0] - e))[1] -= m
-    return [(e, m) for e, m in remaining if m > 0]
+    return [SpectrumEntry(e, m) for e, m in remaining if m > 0]
 
 
 def _nw_details(rootset: baesolver.RootSet) -> dict:
@@ -135,9 +126,9 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
     if not 2 <= n <= hilbert.max_chain_length():
         raise ValueError(f"n={n} outside [2, {hilbert.max_chain_length()}]")
 
-    sectors = [_sector_report(n, ell) for ell in range(n // 2 + 1)]
-
+    # exact_spectrum checks the largest sector against the cap before any solve
     diag_spectrum = hilbert.exact_spectrum(n)
+    sectors = [_sector_report(n, ell) for ell in range(n // 2 + 1)]
 
     bethe_levels: list[tuple[float, int]] = []
     nw_levels: list[tuple[float, int]] = []
@@ -150,8 +141,7 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
     bethe_spectrum = merge_levels(bethe_levels, 1e-8)
     recovered_by_nw = merge_levels(nw_levels, 1e-8)
 
-    diag_levels = [(e.energy, e.multiplicity) for e in diag_spectrum]
-    missing = multiset_subtract(diag_levels, bethe_spectrum, SPECTRAL_CLOSURE_TOL)
+    missing = multiset_subtract(diag_spectrum, bethe_spectrum, SPECTRAL_CLOSURE_TOL)
     closure_ok = (
         multiset_subtract(missing, recovered_by_nw, SPECTRAL_CLOSURE_TOL) == []
         and multiset_subtract(recovered_by_nw, missing, SPECTRAL_CLOSURE_TOL) == []
@@ -167,7 +157,7 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
         "count_check": not shortfalls,
         "count_shortfalls": shortfalls,
         "spectral_closure": bool(closure_ok),
-        "dimension_check": sum(m for _, m in diag_levels) == 2**n,
+        "dimension_check": sum(m for _, m in diag_spectrum) == 2**n,
     }
     return RunReport(
         n, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit
@@ -228,9 +218,7 @@ def report_to_dict(report: RunReport) -> dict:
         "schema": SCHEMA_VERSION,
         "n": report.n,
         "sectors": sectors,
-        "diag_spectrum": _levels_json(
-            [(e.energy, e.multiplicity) for e in report.diag_spectrum]
-        ),
+        "diag_spectrum": _levels_json(report.diag_spectrum),
         "bethe_spectrum": _levels_json(report.bethe_spectrum),
         "missing_levels": _levels_json(report.missing_levels),
         "recovered_by_nw": _levels_json(report.recovered_by_nw),

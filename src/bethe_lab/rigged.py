@@ -11,7 +11,7 @@ completeness audit checks against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, islice, product
 
 from .hilbert import binomial
 
@@ -131,23 +131,12 @@ def heuristic_real_pairing(
     if len(column_rcs) != len(root_lists):
         return None
     by_riggings = sorted(column_rcs, key=lambda t: t[1].riggings, reverse=True)
-    by_first = sorted(range(len(root_lists)), key=lambda i: root_lists[i][0], reverse=True)
-    if ell == 1:
-        return [(sol_i, rc_i) for sol_i, (rc_i, _) in zip(by_first, by_riggings)]
-    # chunk solutions by the multiplicity of each first-rigging value,
-    # then order within a chunk by the second rapidity
+    by_first = iter(sorted(range(len(root_lists)), key=lambda i: root_lists[i][0], reverse=True))
+    # chunk the configurations by their first rigging, and order the
+    # solutions that a chunk takes by their remaining rapidities
     pairs: list[tuple[int, int]] = []
-    pos = 0
-    chunk_start = 0
-    while chunk_start < len(by_riggings):
-        j1 = by_riggings[chunk_start][1].riggings[0]
-        chunk = [t for t in by_riggings[chunk_start:] if t[1].riggings[0] == j1]
-        sols = sorted(
-            by_first[pos : pos + len(chunk)],
-            key=lambda i: root_lists[i][1],
-            reverse=True,
-        )
-        pairs.extend((sol_i, rc_i) for sol_i, (rc_i, _) in zip(sols, chunk))
-        pos += len(chunk)
-        chunk_start += len(chunk)
+    for _, chunk in groupby(by_riggings, key=lambda t: t[1].riggings[0]):
+        rc_indices = [rc_i for rc_i, _ in chunk]
+        sols = islice(by_first, len(rc_indices))
+        pairs += zip(sorted(sols, key=lambda i: root_lists[i][1:], reverse=True), rc_indices)
     return pairs

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bethe_lab import baesolver as bs, cli, hilbert, pipeline, plots, rigged
+from bethe_lab import abba, baesolver as bs, cli, hilbert, pipeline, plots, rigged
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -20,6 +20,21 @@ def test_run_subcommand_writes_report(tmp_path, capsys):
     assert data["n"] == 4 and data["schema"] == "bethe-lab/4"
     assert csv_out.exists()
     assert "audit" in capsys.readouterr().out
+
+
+def test_run_prints_levels_as_the_report_stores_them(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--n", "8", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    lines = capsys.readouterr().out.splitlines()
+    for label, key in (
+        ("missing after regular Bethe", "missing_levels"),
+        ("recovered by singular states", "recovered_by_nw"),
+    ):
+        levels = [(lv["energy"], lv["multiplicity"]) for lv in data[key]]
+        assert f"  {label}: {levels}" in lines
+    # the exact level -3 reads the same on both lines, not as last-bit roundoff
+    assert sum("(-3.0, 3)" in line for line in lines) == 2
 
 
 def test_diag_subcommand(capsys):
@@ -46,15 +61,22 @@ def test_diag_never_builds_the_dense_hamiltonian(capsys, monkeypatch):
     assert "total states: 256" in capsys.readouterr().out
 
 
-def test_diag_rejects_oversized_sector_before_any_eigensolve(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["diag", "run"])
+def test_diag_rejects_oversized_sector_before_any_eigensolve(
+    command, tmp_path, capsys, monkeypatch
+):
     monkeypatch.setenv("BETHE_LAB_MAX_N", "16")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a sector was built or diagonalized for an oversized chain")
+        raise AssertionError("a sector was built, diagonalized or solved for an oversized chain")
 
     monkeypatch.setattr(hilbert, "sector_hamiltonian", forbidden)
     monkeypatch.setattr(hilbert, "eig_hermitian", forbidden)
-    assert cli.main(["diag", "--n", "16"]) == 1
+    monkeypatch.setattr(abba, "apply_monodromy", forbidden)
+    argv = [command, "--n", "16"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -119,6 +119,24 @@ def test_spectrum_merge_exact_duplicates():
     assert [(e.energy, e.multiplicity) for e in entries] == [(-1.0, 1), (0.0, 3)]
 
 
+def test_spectrum_entry_equals_its_level_pair():
+    assert hilbert.SpectrumEntry(-1.0, 3) == (-1.0, 3)
+
+
+def test_exact_spectrum_merges_its_levels_once_through_merge_levels(monkeypatch):
+    calls = []
+    merge = hilbert.merge_levels
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return merge(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "merge_levels", spy)
+    entries = hilbert.exact_spectrum(6)
+    assert len(calls) == 1
+    assert sum(m for _, m in entries) == 2**6
+
+
 def test_spectrum_requires_sorted_input():
     with pytest.raises(ValueError):
         hilbert.spectrum_with_multiplicities([1.0, 0.0])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bethe_lab import baesolver as bs, pipeline
+from bethe_lab import baesolver as bs, hilbert, pipeline
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -117,6 +117,10 @@ def test_exit_code_on_count_shortfall(tmp_path, monkeypatch):
     path = tmp_path / "short.json"
     emitted = pipeline.emit_report(rep, str(path))
     assert json.loads(path.read_text()) == emitted
+
+
+def test_pipeline_merges_levels_with_the_hilbert_rule():
+    assert pipeline.merge_levels is hilbert.merge_levels
 
 
 def test_merge_and_subtract_helpers():
