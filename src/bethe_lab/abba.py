@@ -19,12 +19,16 @@ so a column holds only its C(n + 1, p) rows.  Bethe products read only
 B and run only the (0, psi) column.  A rapidity is a polynomial in a
 small parameter eps, given as its coefficient vector, lowest term first,
 that acts on arrays holding eps-coefficients along their trailing axis;
-a number is its degree-0 case.  One recursion serves both and returns
-every eps-coefficient of the result.  Each site costs one row gather,
-one shifted add per nonzero higher coefficient, which widens the eps
-axis by the degree, and one scaled add of the constant term.  The
-Nepomechie-Wang vectors, which vanish to order eps^n, are built that way
-in float64 with no cancellation.
+a number is its degree-0 case.  Each site costs one row gather, one
+shifted add per nonzero higher coefficient, which widens the eps axis
+by the degree, and one scaled add of the constant term; a coefficient 1
+is added unscaled, and a constant term that is exactly 0 is skipped.
+The layout follows the degree: a number runs on the rows as given,
+while a polynomial holds its column eps-major, one contiguous row of
+stacked states per eps-power, so that each shifted add is one block
+rather than a strided slice of every row.  The polynomial path returns
+every eps-coefficient, and the Nepomechie-Wang vectors, which vanish to
+order eps^n, are built that way in float64 with no cancellation.
 
 P_k is real, so conj L_k(L) = -L_k(-conj L), and on real vectors
 T(-conj L) = (-1)^n conj T(L) bit for bit.  The transfer-matrix
@@ -90,30 +94,50 @@ def _column(lam, n: int, ell: int, psi: np.ndarray, aux: int):
     coordinates.  ``lam`` is an eps-coefficient vector, a number being
     the degree-0 case; a degree d > 0 widens the trailing eps axis of a
     2-D ``psi`` by d at every site.
+
+    A number keeps the row-major (rows, ...) layout of ``psi``: its site
+    gathers run on whole rows, and an eps-major layout made them slower.
+    A polynomial runs on an eps-major (width, rows) array, where the
+    shifted add of eps^k onto rows k..k + width is one contiguous block
+    (on the row-major layout it is a strided slice of every row), and it
+    returns transposed views of that array.
     """
     # L_k = (lam - i/2) + i P_k, with -i/2 folded into the constant term once
     coeffs = np.array(lam, dtype=complex, ndmin=1)
     const = complex(coeffs[0]) - 0.5j
     deg = len(coeffs) - 1
-    higher = [k for k in range(deg, 0, -1) if coeffs[k]]  # nonzero eps-powers, highest first
     size = hilbert.binomial(n + 1, ell + aux)
     top = hilbert.binomial(n, ell + aux)
-    y = np.zeros((size, *psi.shape[1:]), dtype=complex)
-    y[top * aux : top + aux * size] = psi  # rows [0, top) or [top, end)
-    for swap in _site_swaps(n, ell + aux):
-        out = y[swap]
-        out *= 1j
-        if deg:
-            out = np.concatenate((out, np.zeros((size, deg))), axis=1)
-        width = y.shape[-1]
+    swaps = _site_swaps(n, ell + aux)
+    if not deg:
+        y = np.zeros((size, *psi.shape[1:]), dtype=complex)
+        y[top * aux : top + aux * size] = psi  # rows [0, top) or [top, end)
+        for swap in swaps:
+            out = y[swap]
+            out *= 1j
+            # the constant term in place, so that only y and out are alive
+            np.multiply(const, y, out=y)
+            out += y
+            y = out
+        return y[:top], y[top:]
+    # eps-major: row j holds eps^j, so each shifted add is one contiguous block
+    higher = [k for k in range(deg, 0, -1) if coeffs[k]]  # nonzero eps-powers, highest first
+    y = np.zeros((psi.shape[1], size), dtype=complex)
+    y[:, top * aux : top + aux * size] = psi.T
+    for swap in swaps:
+        width = len(y)
+        out = np.empty((width + deg, size), dtype=complex)
+        # the swaps are in range, and mode "clip" gathers into out unbuffered
+        np.take(y, swap, axis=1, out=out[:width], mode="clip")
+        out[:width] *= 1j
+        out[width:] = 0
         for k in higher:
-            out[:, k : k + width] += coeffs[k] * y
-        # the constant term in place, so that only y and out are alive;
-        # out[..., :width] is all of out when deg = 0
-        np.multiply(const, y, out=y)
-        out[..., :width] += y
+            out[k : k + width] += y if coeffs[k] == 1 else coeffs[k] * y
+        if const:  # exactly 0 for i/2 + eps + ...
+            np.multiply(const, y, out=y)
+            out[:width] += y
         y = out
-    return y[:top], y[top:]
+    return y[:, :top].T, y[:, top:].T
 
 
 def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
@@ -126,11 +150,13 @@ def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
     polynomial lam_0 + lam_1 eps + ... + lam_d eps^d acting on the
     eps-coefficients held along the trailing axis of a 2-D ``psi``
     (column j carries eps^j); each block then has d n more columns than
-    ``psi``.
+    ``psi``, and a 1-D ``psi`` is refused.
     """
     psi = np.asarray(psi)
     if not 0 <= ell <= n or psi.shape[0] != hilbert.binomial(n, ell):
         raise ValueError(f"need 0 <= ell <= {n} and C({n}, ell) rows; got ell={ell}, {psi.shape}")
+    if np.size(lam) > 1 and psi.ndim != 2:
+        raise ValueError(f"a polynomial rapidity needs a 2-D (rows, eps) psi; got {psi.shape}")
     a, c = _column(lam, n, ell, psi, 0)
     b, d = _column(lam, n, ell, psi, 1)
     return a, b, c, d
@@ -287,25 +313,23 @@ def regularization_sweep(
     The product is expanded in eps once; each rung sums that series and
     the limit is its eps^n coefficient.  Residuals are taken on the
     ell-magnon sector Hamiltonian against the supplied energy (Rayleigh
-    quotient when omitted), applied through its n bond swaps.
+    quotient when omitted), applied through its n bond swaps to the rung
+    vectors and the limit at once, as the columns of one block; a zero
+    column has residual inf.
     """
     n = rootset.n
-
-    def residual(psi: np.ndarray) -> float:
-        norm = np.linalg.norm(psi)
-        if norm == 0:
-            return float("inf")
-        v = psi / norm
-        hv = hilbert.apply_hamiltonian(n, rootset.ell, v)
-        e = energy if energy is not None else float(np.real(v.conj() @ hv))
-        return float(np.linalg.norm(hv - e * v))
-
+    # every rung is checked before the series is built: eps must lie in (0, 0.1]
+    rungs = [RegularizationParams(eps, complex(c)).epsilon for eps in ladder]
     series = _nw_series(rootset, complex(c))
-    residuals = []
-    for eps in ladder:
-        params = RegularizationParams(eps, complex(c))  # rejects eps outside (0, 0.1]
-        residuals.append(residual(_nw_at(series, n, params.epsilon)))
-    limit_residual = residual(series[:, n])
+    tail = series[:, n:]
+    # one column per rung, and the limit series[:, n] as the rung eps = 0
+    block = tail @ np.array([*rungs, 0.0]) ** np.arange(tail.shape[1])[:, None]
+    norms = np.linalg.norm(block, axis=0)
+    v = block / np.where(norms, norms, 1.0)
+    hv = hilbert.apply_hamiltonian(n, rootset.ell, v)
+    e = energy if energy is not None else np.real((v.conj() * hv).sum(axis=0))
+    res = np.where(norms, np.linalg.norm(hv - e * v, axis=0), np.inf)
+    *residuals, limit_residual = (float(r) for r in res)
     return RegularizationSweep(tuple(residuals), limit_residual, limit_residual <= LIMIT_TOL)
 
 

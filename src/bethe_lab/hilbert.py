@@ -64,6 +64,14 @@ def _check_n(n: int) -> None:
         )
 
 
+def _check_sector(n: int, ell: int) -> None:
+    """Refuse n above the cap, or a sector above ``SECTOR_DIM_CAP``, before any basis is built."""
+    _check_n(n)
+    dim = binomial(n, ell)
+    if dim > SECTOR_DIM_CAP:
+        raise ValueError(f"sector dimension {dim} (n={n}, ell={ell}) exceeds cap {SECTOR_DIM_CAP}")
+
+
 def site_mask(k: int, n: int) -> int:
     """Bit mask selecting site k (site 1 = most significant bit)."""
     if not 1 <= k <= n:
@@ -138,9 +146,8 @@ def sector_hamiltonian(n: int, ell: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"sector_hamiltonian needs n >= 2, got {n}")
+    _check_sector(n, ell)
     dim = len(sector_basis(n, ell))
-    if dim > SECTOR_DIM_CAP:
-        raise ValueError(f"sector dimension {dim} exceeds cap {SECTOR_DIM_CAP}")
     h = np.zeros((dim, dim))
     rows = np.arange(dim)
     for swap in _bond_swaps(n, ell):
@@ -257,9 +264,8 @@ def highest_weight_blocks(n: int, ell: int) -> list[np.ndarray]:
     Blocks q = 0 and n/2 are their own conjugates, and their bases are
     real, from the real part of their Gram matrix.
     """
+    _check_sector(n, ell)
     idx = sector_basis(n, ell)
-    if len(idx) > SECTOR_DIM_CAP:
-        raise ValueError(f"sector dimension {len(idx)} exceeds cap {SECTOR_DIM_CAP}")
     if ell == 0:
         return [np.eye(len(momentum_orbits(n, 0, q))) for q in range(n)]
     lower = sector_basis(n, ell - 1)
@@ -365,12 +371,7 @@ def exact_spectrum(n: int) -> list[SpectrumEntry]:
     checks.  The largest sector, ell = n // 2, is checked against
     ``SECTOR_DIM_CAP`` before any eigensolve.
     """
-    _check_n(n)
-    largest = binomial(n, n // 2)
-    if largest > SECTOR_DIM_CAP:
-        raise ValueError(
-            f"sector dimension {largest} (n={n}, ell={n // 2}) exceeds cap {SECTOR_DIM_CAP}"
-        )
+    _check_sector(n, n // 2)
     eigs = []
     for ell in range(n // 2 + 1):
         for q, block in enumerate(hamiltonian_blocks(n, ell)[: n // 2 + 1]):

@@ -135,6 +135,8 @@ def test_apply_monodromy_rejects_bad_input():
     for ell in (-1, 5):
         with pytest.raises(ValueError):
             abba.apply_monodromy(0.3, 4, ell, np.ones(0))  # C(4, ell) = 0 rows
+    with pytest.raises(ValueError, match=r"\(6,\)"):
+        abba.apply_monodromy(np.array([0.1, 1.0]), 4, 2, np.ones(6))  # no eps axis
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -160,25 +162,29 @@ def test_matrix_rapidity_matches_scalar_columns(n):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_polynomial_rapidity_matches_dense_toeplitz(n):
-    # a random rapidity of degree 2 widens the eps axis by 2 per site; the
-    # dense Toeplitz recursion on that full width must give the same columns
-    w, deg = 3, 2
-    m = w + n * deg
+    # a rapidity of degree d widens the eps axis by d per site; the dense
+    # Toeplitz recursion on that full width must give the same columns.
+    # The random degree-2 rapidity has no special coefficient; i/2 + eps
+    # + c eps^3 has a constant term that is exactly 0 once -i/2 is folded
+    # in and a unit eps coefficient, which the kernel skips and adds unscaled
+    w = 3
     rng = np.random.default_rng(70 + n)
-    coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-    for ell in range(n + 1):
-        dim = hilbert.binomial(n, ell)
-        psi = rng.normal(size=(dim, w)) + 1j * rng.normal(size=(dim, w))
-        padded = np.zeros((dim, m), dtype=complex)
-        padded[:, :w] = psi
-        a, b, c, d = abba.apply_monodromy(coeffs, n, ell, psi)
+    random = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for coeffs in (random, np.array([0.5j, 1.0, 0.0, 0.7 - 0.4j])):
+        m = w + n * (len(coeffs) - 1)
         lam = dense_ops.toeplitz(coeffs, m)
-        want_a, want_c = dense_ops.toeplitz_column(lam, n, ell, padded, 0)
-        want_b, want_d = dense_ops.toeplitz_column(lam, n, ell, padded, 1)
-        for got, want in zip((a, b, c, d), (want_a, want_b, want_c, want_d)):
-            assert got.shape == want.shape == (len(want), m)
-            scale = max(1.0, np.abs(want).max(initial=0))
-            assert np.abs(got - want).max(initial=0) <= 1e-12 * scale
+        for ell in range(n + 1):
+            dim = hilbert.binomial(n, ell)
+            psi = rng.normal(size=(dim, w)) + 1j * rng.normal(size=(dim, w))
+            padded = np.zeros((dim, m), dtype=complex)
+            padded[:, :w] = psi
+            a, b, c, d = abba.apply_monodromy(coeffs, n, ell, psi)
+            want_a, want_c = dense_ops.toeplitz_column(lam, n, ell, padded, 0)
+            want_b, want_d = dense_ops.toeplitz_column(lam, n, ell, padded, 1)
+            for got, want in zip((a, b, c, d), (want_a, want_b, want_c, want_d)):
+                assert got.shape == want.shape == (len(want), m)
+                scale = max(1.0, np.abs(want).max(initial=0))
+                assert np.abs(got - want).max(initial=0) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("aux", [0, 1])
@@ -197,6 +203,28 @@ def test_column_holds_two_column_buffers(aux):
         tracemalloc.stop()
     assert psi.shape[1] == 80
     assert peak <= 2.5 * column, peak / column
+
+
+@pytest.mark.parametrize("n, ell", [(8, 3), (10, 4), (12, 5)])
+def test_polynomial_column_holds_three_column_buffers(n, ell):
+    # the Nepomechie-Wang L1 = i/2 + eps + c eps^n on an (n + 1)-wide
+    # eps-series: each site holds the old column, the new one and one
+    # scaled copy of the old for c, so the peak stays within three final
+    # columns of n^2 + n + 1 eps-coefficients
+    lam = np.zeros(n + 1, dtype=complex)
+    lam[:2] = 0.5j, 1.0
+    lam[n] = 0.7 - 0.4j
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=(hilbert.binomial(n, ell), n + 1)) + 0j
+    abba._column(lam, n, ell, psi, 1)  # fill the swap cache
+    column = hilbert.binomial(n + 1, ell + 1) * (n * n + n + 1) * 16
+    tracemalloc.start()
+    try:
+        abba._column(lam, n, ell, psi, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * column, peak / column
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -518,6 +546,22 @@ def test_four_site_sweep_converges():
     assert sweep.limit_residual <= 1e-3
 
 
+def test_sweep_checks_every_rung_before_the_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series built before the ladder was checked")
+
+    monkeypatch.setattr(abba, "_nw_series", no_series)
+    with pytest.raises(ValueError, match="epsilon"):
+        abba.regularization_sweep(RootSet(4, (0.5j, -0.5j)), 0j, ladder=(1e-2, 0.5))
+
+
+def test_sweep_gives_a_zero_vector_infinite_residuals(monkeypatch):
+    monkeypatch.setattr(abba, "_nw_series", lambda rs, c: np.zeros((6, 21), dtype=complex))
+    sweep = abba.regularization_sweep(RootSet(4, (0.5j, -0.5j)), 0j)
+    assert sweep.residuals == (math.inf,) * 3
+    assert sweep.limit_residual == math.inf and not sweep.converged
+
+
 def test_four_site_naive_scheme_fails():
     rs = RootSet(4, (0.5j, -0.5j))
     sweep = abba.regularization_sweep(rs, 0j, energy=-1.0)
@@ -585,14 +629,14 @@ def test_nw_series_vanishes_below_eps_n(solved, nonphysical_singular):
 
 def test_nw_series_matches_dense_toeplitz_reference(solved, nonphysical_singular):
     checked = 0
-    for s in _singular_sets(solved, nonphysical_singular, (4, 6, 8)):
+    for s in _singular_sets(solved, nonphysical_singular, (4, 6, 8, 10)):
         c1, _ = nw_constants(s)
         series = abba._nw_series(s, c1)
         reference = dense_ops.dense_nw_series(s, c1)
         assert series.shape == reference.shape
         assert np.abs(series - reference).max() <= 1e-13 * np.abs(reference).max(), s
         checked += 1
-    assert checked >= 20  # 8 physical sets up to n=8, 12 stored non-physical ones
+    assert checked >= 30  # 18 physical sets up to n=10, 12 stored non-physical ones
 
 
 def test_sweep_residuals_match_dense_sector_hamiltonian(solved, nonphysical_singular):

@@ -247,6 +247,18 @@ def test_sector_dimension_cap(monkeypatch):
         hilbert.sector_hamiltonian(18, 9)  # C(18,9) = 48620 > 10000
 
 
+@pytest.mark.parametrize("build", [hilbert.sector_hamiltonian, hilbert.highest_weight_blocks])
+def test_sector_dimension_cap_names_n_and_ell_before_any_basis(monkeypatch, build):
+    def no_basis(n, ell):
+        raise AssertionError(f"sector_basis({n}, {ell}) built before the cap check")
+
+    monkeypatch.setenv("BETHE_LAB_MAX_N", "16")
+    monkeypatch.setattr(hilbert, "sector_basis", no_basis)
+    message = r"^sector dimension 11440 \(n=16, ell=7\) exceeds cap 10000$"  # C(16, 7)
+    with pytest.raises(ValueError, match=message):
+        build(16, 7)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_highest_weight_basis_is_ker_s_plus(n):
     s_plus = dense_ops.raising_operator(n)  # dense reference
