@@ -168,24 +168,28 @@ def apply_monodromy(lam, n: int, ell: int, psi: np.ndarray):
 _SPLIT_POINT = 0.9 * np.exp(0.7j)
 
 
-def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def transfer_eigenpolynomials(
+    n: int, ell: int, kernels: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Coefficients of Lambda(u) on each highest-weight eigenstate of a sector.
 
-    Returns ``(coeffs, states)``.  ``coeffs`` has shape (d, n + 1), column
-    j holding the coefficient of u^j, one row per eigenstate of the
-    d-dimensional highest-weight subspace (ker S^+ in the ell-magnon
-    sector), which every t(u) preserves.  The rows are grouped by
-    momentum q = 0..n-1.  ``states`` holds one array per q: ``states[q]``
-    has shape (len(``hilbert.momentum_orbits(n, ell, q)``), d_q), and its
-    columns are the unit eigenvectors of block q's d_q rows, in that
-    block's |r, q> basis.
+    ``kernels`` holds the sector's ker S^+ basis W_q of each momentum
+    block q = 0..n-1, as ``hilbert.highest_weight_blocks`` (or
+    ``hilbert.highest_weight_sector``) builds it.  Returns ``(coeffs,
+    states)``.  ``coeffs`` has shape (d, n + 1), column j holding the
+    coefficient of u^j, one row per eigenstate of the d-dimensional
+    highest-weight subspace (ker S^+ in the ell-magnon sector), which
+    every t(u) preserves.  The rows are grouped by momentum q = 0..n-1.
+    ``states`` holds one array per q: ``states[q]`` has shape (d_q, d_q),
+    and its columns x are the unit eigenvectors of block q in the
+    coordinates of W_q's columns, so the state is W_q x in the block's
+    |r, q> basis, and <x|H|x> is x^H K_q x with K_q = W_q^H H_q W_q.
 
     t(u) commutes with the one-site shift U, so it is diagonalized on
     each momentum block (ell, q) separately: the monodromy runs on the
     o ~ C(n, ell)/n orbit representatives |r> only, and
     ``hilbert.momentum_blocks`` turns t(u)|r> into every block T_q(u),
-    which is restricted to the block's ker S^+ basis W_q
-    (``hilbert.highest_weight_blocks``) as W_q^H T_q(u) W_q.
+    which is restricted to W_q as W_q^H T_q(u) W_q.
 
     On that subspace the spin is S = n/2 - ell, and the top of t(u) is
     fixed: t(u) = 2 u^n + (3n/4 - S(S + 1)) u^(n-2) + (degree <= n - 3),
@@ -207,7 +211,6 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, list[np.nda
     diagonalized; block n - q has the rows (-1)^(n + k) conj(lambda_k)
     on the states conj(x).
     """
-    kernels = hilbert.highest_weight_blocks(n, ell)
     reps = hilbert.orbit_representatives(n, ell)
     spin = n / 2 - ell
     casimir = 0.75 * n - spin * (spin + 1)
@@ -235,7 +238,7 @@ def transfer_eigenpolynomials(n: int, ell: int) -> tuple[np.ndarray, list[np.nda
         stack /= (m * 1j ** np.arange(m))[:, None, None]  # stack[k] = C_k
         _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), stack, 1))
         lam.append(np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in stack]).T)
-        states.append(kernels[q] @ vecs)
+        states.append(vecs)
     # block q > n/2 has C_k = (-1)^(n + k) conj(C_k of block n - q), on conj(x)
     lam += [sign * (-1) ** np.arange(m) * lam[n - q].conj() for q in range(n // 2 + 1, n)]
     states += [states[n - q].conj() for q in range(n // 2 + 1, n)]

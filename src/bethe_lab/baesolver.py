@@ -290,27 +290,33 @@ def _tq_roots(lam_coeffs, n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ``cfg`` is unused; kept because benchmark/spans.py binds args["cfg"]
-def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[RootSet]:
+def solve_sector(
+    n: int, ell: int, cfg: SolverConfig | None = None,
+    sector: hilbert.HighestWeightSector | None = None,
+) -> list[RootSet]:
     """Every regular and physical singular Bethe root set of the (n, ell) sector.
 
     One state per highest-weight eigenstate x of the transfer matrix: its
     eigenvalue Lambda(u) fixes Baxter's Q, whose roots are the Bethe
-    roots.  A state is kept when the relative TQ residual of its Q is at
-    most ``TQ_TOL``, when ``classify`` tags it regular or physical
-    singular, and when its closed-form energy (``energy.energy_of``)
-    equals <x|H|x> / <x|x> within ``ENERGY_TOL`` * max(1, |E|).  Both
-    are taken in the momentum block q where x was found, as
-    x_q^H H_q x_q and x_q^H x_q with H_q from
-    ``hilbert.hamiltonian_blocks``.  The singular-pair rule is
-    ``classify``'s alone: it gives a set holding the pair {i/2, -i/2}
-    that pair exactly, tags it strange when another root collides with
-    the pair, and returns the roots in canonical order.  A state that
-    fails is dropped, so it shows up as a count shortfall in the
-    caller's audit against the rigged configuration census; no check
-    looks for repeated sets, because two highest-weight states never
-    share one Lambda (Mukhin, Tarasov & Varchenko).  The roots are
-    exactly real or come in exact conjugate pairs, and a state whose
-    Lambda is not real is dropped (see ``_tq_roots``).  ``residual`` is the TQ residual.
+    roots.  ``sector`` holds the sector's highest-weight blocks W_q and
+    K_q = W_q^H H_q W_q; a caller that has already built them for its
+    exact diagonalization passes them in, and without it they are built
+    here by ``hilbert.highest_weight_sector``.  A state is kept when the
+    relative TQ residual of its Q is at most ``TQ_TOL``, when
+    ``classify`` tags it regular or physical singular, and when its
+    closed-form energy (``energy.energy_of``) equals <x|H|x> / <x|x>
+    within ``ENERGY_TOL`` * max(1, |E|).  x is taken in the coordinates
+    of W_q's columns, where it was found, so <x|H|x> is x^H K_q x.  The
+    singular-pair rule is ``classify``'s alone: it gives a set holding
+    the pair {i/2, -i/2} that pair exactly, tags it strange when another
+    root collides with the pair, and returns the roots in canonical
+    order.  A state that fails is dropped, so it shows up as a count
+    shortfall in the caller's audit against the rigged configuration
+    census; no check looks for repeated sets, because two highest-weight
+    states never share one Lambda (Mukhin, Tarasov & Varchenko).  The
+    roots are exactly real or come in exact conjugate pairs, and a state
+    whose Lambda is not real is dropped (see ``_tq_roots``).
+    ``residual`` is the TQ residual.
     """
     # local: abba and energy import this module at their top
     from . import abba, energy
@@ -320,10 +326,10 @@ def solve_sector(n: int, ell: int, cfg: SolverConfig | None = None) -> list[Root
     if ell == 0:
         return [RootSet(n, (), REGULAR, 0.0)]
 
-    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
-    h_blocks = hilbert.hamiltonian_blocks(n, ell)
+    kernels, k_blocks = hilbert.highest_weight_sector(n, ell) if sector is None else sector
+    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell, kernels)
     rayleigh = np.concatenate(
-        [(x.conj() * (h @ x)).sum(0).real / (abs(x) ** 2).sum(0) for h, x in zip(h_blocks, states)]
+        [(x.conj() * (k @ x)).sum(0).real / (abs(x) ** 2).sum(0) for k, x in zip(k_blocks, states)]
     )
 
     out = []

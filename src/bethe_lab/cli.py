@@ -4,17 +4,22 @@ Subcommands map onto the module boundaries: ``run`` drives the full
 diagonalize / solve / classify / energize / audit pipeline, ``diag``
 prints the exact spectrum, ``solve`` one sector's root sets, ``rc`` the
 rigged-configuration census, and ``plot`` renders root scatters from a
-report file.  ``diag`` and ``run`` share one exact diagonalization,
-``hilbert.exact_spectrum``, which works by (magnon number, momentum)
-block, each about C(n, ell)/n wide, and builds neither the dense
-2^n x 2^n Hamiltonian nor a whole magnon sector.  ``run`` exits 0 when
-every audit passes, 2 on a solver count shortfall, and 3 on a
-spectral-closure failure.  Bad input (a chain length outside the cap, a
-magnon number above n/2, a malformed ``BETHE_LAB_MAX_N``, a magnon
-sector larger than ``hilbert.SECTOR_DIM_CAP``, a ``plot --in`` file that
-cannot be read or is not a report, a single ``.svg`` output for
-several sectors, an output path that cannot be written) prints one
-``bethe-lab: error:`` line and exits 1.
+report file.  ``diag`` and ``run`` check the chain with the one
+``hilbert.check_chain`` and share one exact diagonalization: the
+highest-weight blocks W_q^H H_q W_q of each (magnon number, momentum)
+block (``hilbert.highest_weight_sector``), at most a few dozen states
+wide at n = 14, each eigenvalue counted for its SU(2) multiplet.
+Neither builds the dense 2^n x 2^n Hamiltonian nor a whole magnon
+sector, and ``run`` solves each sector on the blocks its exact
+diagonalization built.  ``run`` exits 0 when every audit passes, 2 on
+a solver count shortfall, and 3 on a spectral-closure failure.  Bad
+input (a chain length outside the cap, a magnon number above n/2, a
+malformed ``BETHE_LAB_MAX_N``, a magnon sector larger than
+``hilbert.SECTOR_DIM_CAP``, a ``plot --in`` file that cannot be read or
+is not a report, a single ``.svg`` output for several sectors, an
+output path that cannot be written) prints one ``bethe-lab: error:``
+line and exits 1; ``diag`` and ``run`` print the same line for the
+same bad chain.
 """
 
 from __future__ import annotations

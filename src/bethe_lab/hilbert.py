@@ -10,14 +10,18 @@ Conventions shared by every module in this package:
   entries, indexed like ``sector_basis(n, ell)``.
 
 H conserves the magnon number ell and commutes with the one-site shift
-U, so the exact diagonalization never forms a whole sector: each
+U and with total spin, so the package never forms a whole sector.  Each
 (ell, q) momentum block, about C(n, ell)/n wide, is built from the
 columns H|r> of the translation-orbit representatives |r>
 (``translation_orbits``, ``hamiltonian_blocks``), and the same blocks of
-S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).  H
-itself acts on vectors through its n bond swaps (``apply_hamiltonian``).
-H and S^+ are real, so block (ell, n - q) is the complex conjugate of
-block (ell, q), and only the blocks q <= n/2 are ever eigensolved.
+S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).
+``highest_weight_sector`` is the one place that builds a sector's
+highest-weight blocks: its W_q and K_q = W_q^H H_q W_q are what the
+exact diagonalization (``sector_eigenvalues``, ``exact_spectrum``) and
+the Bethe solver read.  H itself acts on vectors through its n bond
+swaps (``apply_hamiltonian``).  H and S^+ are real, so block
+(ell, n - q) is the complex conjugate of block (ell, q), and only the
+blocks q <= n/2 are ever eigensolved.
 
 A level is a ``SpectrumEntry`` (energy, multiplicity), and
 ``merge_levels`` is the one rule that joins close energies into levels,
@@ -56,20 +60,29 @@ def max_chain_length() -> int:
     return cap
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, least: int = 1) -> None:
     cap = max_chain_length()
-    if not 1 <= n <= cap:
+    if not least <= n <= cap:
         raise ValueError(
-            f"chain length n={n} outside [1, {cap}]; set BETHE_LAB_MAX_N to change the cap"
+            f"chain length n={n} outside [{least}, {cap}]; set BETHE_LAB_MAX_N to change the cap"
         )
 
 
-def _check_sector(n: int, ell: int) -> None:
-    """Refuse n above the cap, or a sector above ``SECTOR_DIM_CAP``, before any basis is built."""
-    _check_n(n)
+def _check_sector(n: int, ell: int, least: int = 1) -> None:
+    """Refuse n outside [least, cap], or a sector above ``SECTOR_DIM_CAP``, before any basis."""
+    _check_n(n, least)
     dim = binomial(n, ell)
     if dim > SECTOR_DIM_CAP:
         raise ValueError(f"sector dimension {dim} (n={n}, ell={ell}) exceeds cap {SECTOR_DIM_CAP}")
+
+
+def check_chain(n: int) -> None:
+    """The one check of a whole-chain run (``diag`` and ``run``), before any basis is built.
+
+    Refuses n < 2, n above the cap, and a largest sector, ell = n // 2,
+    above ``SECTOR_DIM_CAP``.
+    """
+    _check_sector(n, n // 2, 2)
 
 
 def site_mask(k: int, n: int) -> int:
@@ -87,9 +100,7 @@ def hamiltonian(n: int) -> np.ndarray:
     never builds it: ``exact_spectrum`` works by momentum block.  It is
     kept as the independent reference for tests.
     """
-    if n < 2:
-        raise ValueError(f"hamiltonian needs n >= 2, got {n}")
-    _check_n(n)
+    _check_n(n, 2)
     dim = 1 << n
     h = np.zeros((dim, dim))
     b = np.arange(dim)
@@ -144,9 +155,7 @@ def sector_hamiltonian(n: int, ell: int) -> np.ndarray:
 
     sigma_k . sigma_(k+1) = 2 P_(k,k+1) - 1, so H = (1/2) sum_k (P_(k,k+1) - 1).
     """
-    if n < 2:
-        raise ValueError(f"sector_hamiltonian needs n >= 2, got {n}")
-    _check_sector(n, ell)
+    _check_sector(n, ell, 2)
     dim = len(sector_basis(n, ell))
     h = np.zeros((dim, dim))
     rows = np.arange(dim)
@@ -355,28 +364,57 @@ def spectrum_with_multiplicities(eigs) -> list[SpectrumEntry]:
     ]
 
 
+class HighestWeightSector(NamedTuple):
+    """The highest-weight momentum blocks of one magnon sector, q = 0..n-1."""
+
+    kernels: list[np.ndarray]  # W_q, from ``highest_weight_blocks``
+    hamiltonians: list[np.ndarray]  # K_q = W_q^H H_q W_q
+
+
+def highest_weight_sector(n: int, ell: int) -> HighestWeightSector:
+    """W_q and K_q = W_q^H H_q W_q of the ell-magnon sector, q = 0..n-1.
+
+    The one place that builds a sector's highest-weight blocks, from one
+    ``highest_weight_blocks`` and one ``hamiltonian_blocks`` call.  K_q
+    is d_q x d_q, in the coordinates of W_q's columns, and H_q is
+    dropped once it is projected.
+    """
+    kernels = highest_weight_blocks(n, ell)
+    hamiltonians = [w.conj().T @ h @ w for w, h in zip(kernels, hamiltonian_blocks(n, ell))]
+    return HighestWeightSector(kernels, hamiltonians)
+
+
+def sector_eigenvalues(n: int, ell: int, sector: HighestWeightSector) -> np.ndarray:
+    """The energies of every state whose highest-weight state lies in the sector.
+
+    Each eigenvalue of K_q (``eig_hermitian``, with its checks) belongs to
+    a highest-weight state of spin n/2 - ell, whose SU(2) multiplet holds
+    n - 2 ell + 1 states.  H is real, so block n - q is the conjugate of
+    block q and has its spectrum: only the blocks q <= n/2 are
+    eigensolved, and one with 0 < q < n/2 counts twice.  Each eigenvalue
+    appears once per state, unsorted.
+    """
+    return np.concatenate([
+        np.repeat(eig_hermitian(k)[0], (n - 2 * ell + 1) * (2 if 2 * q % n else 1))
+        for q, k in enumerate(sector.hamiltonians[: n // 2 + 1])
+    ])
+
+
 def exact_spectrum(n: int) -> list[SpectrumEntry]:
     """Exact spectrum of the chain as merged (energy, multiplicity) levels.
 
-    H conserves the magnon number and commutes with the one-site shift
-    U, so its spectrum is the union of the spectra of its (ell, q)
-    momentum blocks, about C(n, ell)/n wide.  Flipping every spin maps
-    sector ell onto sector n - ell and leaves H alone, so only the
-    sectors with ell <= n/2 are diagonalized, and a block with
-    ell < n/2 is counted twice.  H is real, so block n - q is the
-    conjugate of block q and has its spectrum: only the blocks q <= n/2
-    are diagonalized, and one with 0 < q < n/2 is counted twice too.
-    Each block comes from the columns H|r> of the orbit representatives
-    (``hamiltonian_blocks``) and goes through ``eig_hermitian`` and its
-    checks.  The largest sector, ell = n // 2, is checked against
-    ``SECTOR_DIM_CAP`` before any eigensolve.
+    H commutes with total spin, so its eigenstates form SU(2) multiplets
+    of spin S = n/2 - ell, ell <= n/2, each of n - 2 ell + 1 states with
+    one highest-weight state in ker S^+ of the ell-magnon sector.  So the
+    spectrum is that of the highest-weight blocks K_q = W_q^H H_q W_q of
+    the sectors ell = 0..n // 2 (``highest_weight_sector``), each
+    eigenvalue counted for its multiplet and its conjugate block
+    (``sector_eigenvalues``).  The blocks are built one sector at a
+    time, and ``check_chain`` refuses a bad n, or a largest sector above
+    ``SECTOR_DIM_CAP``, before any of them.
     """
-    _check_sector(n, n // 2)
-    eigs = []
-    for ell in range(n // 2 + 1):
-        for q, block in enumerate(hamiltonian_blocks(n, ell)[: n // 2 + 1]):
-            w = eig_hermitian(block)[0]
-            eigs += [w] * ((2 if 2 * ell < n else 1) * (2 if 2 * q % n else 1))
+    check_chain(n)
+    eigs = [sector_eigenvalues(n, ell, highest_weight_sector(n, ell)) for ell in range(n // 2 + 1)]
     return spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 

@@ -1,13 +1,16 @@
 """End-to-end bookkeeping: diagonalize, solve, classify, energize, audit.
 
-The pipeline diagonalizes the Hamiltonian by momentum block, which
-refuses an oversized chain before anything is solved, then solves every
-magnon sector of the chain, attaches energies (closed regular formula,
-singular-state formula, and the log-derivative cross-check), and
-reconciles the two spectra: regular Bethe states carry multiplicity
-n - 2 ell + 1, the levels they miss must be covered exactly by the
-physical singular states.  Every level multiset, exact or Bethe, is a
-list of ``hilbert.SpectrumEntry`` built by ``hilbert.merge_levels``.
+The pipeline checks the chain once (``hilbert.check_chain``), which
+refuses an oversized chain before anything is built, then makes one
+pass over the magnon sectors ell = 0..n // 2.  For each it builds the
+sector's highest-weight blocks once (``hilbert.highest_weight_sector``),
+adds their exact eigenvalues to the exact diagonalization, and solves
+the sector's Bethe states on the same blocks.  It attaches energies
+(closed regular formula, singular-state formula, and the log-derivative
+cross-check), and reconciles the two spectra: regular Bethe states carry
+multiplicity n - 2 ell + 1, the levels they miss must be covered exactly
+by the physical singular states.  Every level multiset, exact or Bethe,
+is a list of ``hilbert.SpectrumEntry`` built by ``hilbert.merge_levels``.
 All energies are stored in units of J.
 """
 
@@ -99,10 +102,10 @@ def _nw_details(rootset: baesolver.RootSet) -> dict:
     }
 
 
-def _sector_report(n: int, ell: int) -> SectorReport:
+def _sector_report(n: int, ell: int, sector: hilbert.HighestWeightSector) -> SectorReport:
     mult = n - 2 * ell + 1
     records: list[SolutionRecord] = []
-    for rs in baesolver.solve_sector(n, ell):
+    for rs in baesolver.solve_sector(n, ell, sector=sector):
         details = None if rs.classification == baesolver.REGULAR else _nw_details(rs)
         records.append(SolutionRecord(rs, energy.energy_of(rs), mult, details))
     rcs = rigged.enumerate_rcs(n, ell)
@@ -122,24 +125,26 @@ def _sector_report(n: int, ell: int) -> SectorReport:
 
 # ``cfg`` is unused; kept because benchmark/workloads.py passes cfg=SolverConfig(...)
 def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport:
-    """Solve all sectors, diagonalize, and reconcile the spectra."""
-    if not 2 <= n <= hilbert.max_chain_length():
-        raise ValueError(f"n={n} outside [2, {hilbert.max_chain_length()}]")
+    """Diagonalize and solve every sector on its one set of blocks, and reconcile the spectra.
 
-    # exact_spectrum checks the largest sector against the cap before any solve
-    diag_spectrum = hilbert.exact_spectrum(n)
-    sectors = [_sector_report(n, ell) for ell in range(n // 2 + 1)]
+    The exact spectrum is ``hilbert.exact_spectrum``'s, entry for entry;
+    only one sector's blocks are held at a time.
+    """
+    hilbert.check_chain(n)
+    eigs, sectors = [], []
+    for ell in range(n // 2 + 1):
+        sector = hilbert.highest_weight_sector(n, ell)
+        eigs.append(hilbert.sector_eigenvalues(n, ell, sector))
+        sectors.append(_sector_report(n, ell, sector))
+    diag_spectrum = hilbert.spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
-    bethe_levels: list[tuple[float, int]] = []
-    nw_levels: list[tuple[float, int]] = []
+    levels: dict[bool, list[tuple[float, int]]] = {True: [], False: []}  # regular or not
     for sec in sectors:
         for rec in sec.solutions:
-            if rec.rootset.classification == baesolver.REGULAR:
-                bethe_levels.append((rec.energy.energy, rec.multiplicity))
-            else:
-                nw_levels.append((rec.energy.energy, rec.multiplicity))
-    bethe_spectrum = merge_levels(bethe_levels, 1e-8)
-    recovered_by_nw = merge_levels(nw_levels, 1e-8)
+            regular = rec.rootset.classification == baesolver.REGULAR
+            levels[regular].append((rec.energy.energy, rec.multiplicity))
+    bethe_spectrum = merge_levels(levels[True], 1e-8)
+    recovered_by_nw = merge_levels(levels[False], 1e-8)
 
     missing = multiset_subtract(diag_spectrum, bethe_spectrum, SPECTRAL_CLOSURE_TOL)
     closure_ok = (
@@ -147,21 +152,18 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
         and multiset_subtract(recovered_by_nw, missing, SPECTRAL_CLOSURE_TOL) == []
     )
 
-    shortfalls = {}
-    for sec in sectors:
-        found = len(sec.solutions)
-        if found != sec.rc_count:
-            # string keys so the audit survives a JSON round trip
-            shortfalls[str(sec.ell)] = {"found": found, "expected": sec.rc_count}
+    # string keys so the audit survives a JSON round trip
+    shortfalls = {
+        str(sec.ell): {"found": len(sec.solutions), "expected": sec.rc_count}
+        for sec in sectors if len(sec.solutions) != sec.rc_count
+    }
     audit = {
         "count_check": not shortfalls,
         "count_shortfalls": shortfalls,
         "spectral_closure": bool(closure_ok),
         "dimension_check": sum(m for _, m in diag_spectrum) == 2**n,
     }
-    return RunReport(
-        n, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit
-    )
+    return RunReport(n, sectors, diag_spectrum, bethe_spectrum, missing, recovered_by_nw, audit)
 
 
 # ---------------------------------------------------------------------------

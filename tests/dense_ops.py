@@ -4,10 +4,10 @@ The package works on state vectors and magnon sectors and never builds
 these matrices; the tests build them, for small n, to check the
 package's operators against the textbook definitions.  The plain Bethe
 vector, the regularized rapidity list, the epsilon-ladder
-log-derivative energy, the whole-sector ker S^+ basis, the expansion
-of momentum-block states into sector coordinates and the dense-Toeplitz
-Nepomechie-Wang series and sweep live here too: the package's run needs
-none of them.
+log-derivative energy, the whole-sector ker S^+ basis, the
+full-block exact spectrum, the expansion of momentum-block states into
+sector coordinates and the dense-Toeplitz Nepomechie-Wang series and
+sweep live here too: the package's run needs none of them.
 """
 
 from __future__ import annotations
@@ -139,6 +139,26 @@ def highest_weight_basis(n: int, ell: int) -> np.ndarray:
         s[np.searchsorted(lower, idx[down] ^ mask), cols[down]] = 1.0
     w, v = np.linalg.eigh(s.T @ s)
     return v[:, w < 0.5]
+
+
+def full_block_spectrum(n: int) -> list[hilbert.SpectrumEntry]:
+    """The exact spectrum from every whole (ell, q) momentum block, without ker S^+.
+
+    The reference for ``hilbert.exact_spectrum``, which eigensolves only
+    the highest-weight blocks W_q^H H_q W_q.  Each block
+    <r', q|H|r, q> (``hilbert.hamiltonian_blocks``) is eigensolved
+    whole.  Flipping every spin maps sector ell onto sector n - ell and
+    leaves H alone, so only the sectors ell <= n/2 are diagonalized, and
+    a block with ell < n/2 counts twice.  H is real, so block n - q is
+    the conjugate of block q: only the blocks q <= n/2 are diagonalized,
+    and one with 0 < q < n/2 counts twice too.
+    """
+    eigs = []
+    for ell in range(n // 2 + 1):
+        for q, block in enumerate(hilbert.hamiltonian_blocks(n, ell)[: n // 2 + 1]):
+            w = hilbert.eig_hermitian(block)[0]
+            eigs += [w] * ((2 if 2 * ell < n else 1) * (2 if 2 * q % n else 1))
+    return hilbert.spectrum_with_multiplicities(np.sort(np.concatenate(eigs)))
 
 
 # ---------------------------------------------------------------------------

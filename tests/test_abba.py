@@ -366,11 +366,10 @@ def test_transfer_eigenvalue_matches_operator_action():
         assert np.linalg.norm(tau_psi - val * psi) <= 1e-9 * abs(val) * np.linalg.norm(psi)
 
 
-def _sector_states(n, ell, blocks):
-    """The momentum-block states of ``transfer_eigenpolynomials``, expanded into sector coordinates."""
-    return np.concatenate(
-        [dense_ops.momentum_states(n, ell, q, x) for q, x in enumerate(blocks)], axis=1
-    )
+def _sector_states(n, ell, kernels, blocks):
+    """The W_q-coordinate states of ``transfer_eigenpolynomials``, in sector coordinates."""
+    pairs = enumerate(zip(kernels, blocks))
+    return np.concatenate([dense_ops.momentum_states(n, ell, q, w @ x) for q, (w, x) in pairs], axis=1)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -381,7 +380,8 @@ def test_transfer_eigenpolynomials_match_full_dft(n):
     # adds the fixed 2 u^n + (3n/4 - S(S + 1)) u^(n-2) back by hand
     nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     for ell in range(n // 2 + 1):
-        coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+        kernels = hilbert.highest_weight_blocks(n, ell)
+        coeffs, states = abba.transfer_eigenpolynomials(n, ell, kernels)
         basis = dense_ops.highest_weight_basis(n, ell)
         at_nodes = []
         for u in nodes:
@@ -393,7 +393,7 @@ def test_transfer_eigenpolynomials_match_full_dft(n):
         assert np.abs(full[n] - 2 * eye).max() <= 1e-12
         assert np.abs(full[n - 1]).max() <= 1e-12
         assert np.abs(full[n - 2] - (0.75 * n - spin * (spin + 1)) * eye).max() <= 1e-12
-        x = basis.T @ _sector_states(n, ell, states)
+        x = basis.T @ _sector_states(n, ell, kernels, states)
         from_dft = np.array([((c @ x) * x.conj()).sum(axis=0) for c in full]).T
         assert np.abs(coeffs - from_dft).max() <= 1e-12 * max(1.0, np.abs(from_dft).max())
 
@@ -432,7 +432,7 @@ def test_transfer_eigenpolynomials_conjugate_blocks(n):
     # (-1)^(n + k) conj(lambda_k) on the states conj(x)
     sign = (-1) ** (n + np.arange(n + 1))
     for ell in range(n // 2 + 1):
-        coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+        coeffs, states = abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
         rows = np.split(coeffs, np.cumsum([x.shape[1] for x in states])[:-1])
         for q in range(n // 2 + 1, n):
             assert np.array_equal(rows[q], sign * rows[n - q].conj()), (ell, q)
@@ -453,15 +453,16 @@ def test_transfer_eigenpolynomials_run_half_the_nodes(monkeypatch):
         m = max(n - 2, 1)
         for ell in range(1, n // 2 + 1):
             calls.clear()
-            abba.transfer_eigenpolynomials(n, ell)
+            abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
             assert len(calls) == m // 2 + 1, (n, ell)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_transfer_eigenpolynomials_match_solved_states(ell, solved):
     n = 6
-    coeffs, blocks = abba.transfer_eigenpolynomials(n, ell)
-    vecs = _sector_states(n, ell, blocks)
+    kernels = hilbert.highest_weight_blocks(n, ell)
+    coeffs, blocks = abba.transfer_eigenpolynomials(n, ell, kernels)
+    vecs = _sector_states(n, ell, kernels, blocks)
     states = solved(n, ell)
     assert coeffs.shape == (len(states), n + 1)
     assert vecs.shape == (hilbert.binomial(n, ell), len(states))

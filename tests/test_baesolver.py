@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bethe_lab import abba, baesolver as bs, rigged
+from bethe_lab import abba, baesolver as bs, hilbert, rigged
 
 import dense_ops
 import mp_newton
@@ -251,7 +251,7 @@ def test_split_point_separates_every_lambda(n):
     # spectrum on each highest-weight sector; with a repeated eigenvalue
     # the eigenvectors would mix and both states fail the TQ check
     for ell in range(1, n // 2 + 1):
-        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell)
+        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
         w = lam_coeffs @ abba._SPLIT_POINT ** np.arange(n + 1)
         gaps = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
         assert gaps.min() > 1e-6 * np.abs(w).max(), (ell, gaps.min())
@@ -295,7 +295,7 @@ def test_reported_root_sets_pass_float64_or_50_digit_newton(solved):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_stacked_tq_roots_match_per_state_reference(n):
     for ell in range(1, n // 2 + 1):
-        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell)
+        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
         roots, residuals = bs._tq_roots(lam_coeffs, n, ell)
         assert roots.shape == (len(lam_coeffs), ell)
         assert residuals.shape == (len(lam_coeffs),)
@@ -313,7 +313,7 @@ def _perturbed(lam_coeffs, rel, seed):
 
 @pytest.mark.parametrize("n,ell", [(6, 2), (6, 3), (8, 3)])
 def test_tq_check_drops_perturbed_eigenvalues(n, ell, monkeypatch):
-    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell)
+    lam_coeffs, states = abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
     noisy = _perturbed(lam_coeffs, 1e-6, seed=(n, ell))
     for residual in bs._tq_roots(lam_coeffs, n, ell)[1]:
         assert residual <= bs.TQ_TOL
@@ -330,11 +330,12 @@ def test_energy_check_drops_swapped_eigenvectors(n, ell, solved, monkeypatch):
     from bethe_lab import hilbert
 
     full = solved(n, ell)  # before the patch: the fixture solves on first use
-    lam_coeffs, blocks = abba.transfer_eigenpolynomials(n, ell)
+    kernels = hilbert.highest_weight_blocks(n, ell)
+    lam_coeffs, blocks = abba.transfer_eigenpolynomials(n, ell, kernels)
     h = hilbert.sector_hamiltonian(n, ell)
     energies = []
     for q, x in enumerate(blocks):
-        states = dense_ops.momentum_states(n, ell, q, x)
+        states = dense_ops.momentum_states(n, ell, q, kernels[q] @ x)
         energies.append((states.conj() * (h @ states)).sum(axis=0).real)
     # two eigenvectors of one momentum block with distinct energies
     q, i, j = next(

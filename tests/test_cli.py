@@ -84,6 +84,29 @@ def test_diag_rejects_oversized_sector_before_any_eigensolve(
     assert "sector dimension 12870 (n=16, ell=8)" in lines[0]  # C(16, 8) > SECTOR_DIM_CAP
 
 
+@pytest.mark.parametrize("n", [0, 1, 15])
+def test_diag_and_run_refuse_a_bad_chain_with_the_same_line(n, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # run would write report.json here
+    monkeypatch.delenv("BETHE_LAB_MAX_N", raising=False)
+    errors = []
+    for command in ("diag", "run"):
+        assert cli.main([command, "--n", str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0] == (
+        f"bethe-lab: error: chain length n={n} outside [2, 14]; "
+        "set BETHE_LAB_MAX_N to change the cap\n"
+    )
+
+
+def test_solve_and_rc_accept_a_one_site_chain(capsys):
+    assert cli.main(["solve", "--n", "1", "--ell", "0"]) == 0
+    assert cli.main(["rc", "--n", "1"]) == 0
+    assert "found 1/1" in capsys.readouterr().out
+
+
 def _diag_peak_rss_mib(n, tmp_path):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -349,3 +349,38 @@ def test_exact_spectrum_eigensolves_only_blocks_up_to_half(monkeypatch):
         calls.clear()
         hilbert.exact_spectrum(n)
         assert len(calls) == (n // 2 + 1) ** 2, n
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_exact_spectrum_matches_full_block_reference(n):
+    # the reference eigensolves every whole (ell, q) block and counts the
+    # spin-flipped sectors; the package eigensolves only W_q^H H_q W_q
+    # and counts each level for its SU(2) multiplet
+    ref = dense_ops.full_block_spectrum(n)
+    got = hilbert.exact_spectrum(n)
+    assert [e.multiplicity for e in got] == [e.multiplicity for e in ref]
+    assert max(abs(a.energy - b.energy) for a, b in zip(got, ref)) <= 1e-12
+    assert [f"{e.energy:+.10f}" for e in got] == [f"{e.energy:+.10f}" for e in ref]
+
+
+def test_exact_spectrum_eigensolves_only_highest_weight_blocks(monkeypatch):
+    # every eigensolved matrix is d_q wide, the width of block q of ker S^+;
+    # the whole blocks at ell = 7 are up to 246 wide
+    n = 14
+    widths = [
+        w.shape[1]
+        for ell in range(n // 2 + 1)
+        for w in hilbert.highest_weight_blocks(n, ell)[: n // 2 + 1]
+    ]
+    shapes = []
+    eig_hermitian = hilbert.eig_hermitian
+
+    def spy(m):
+        shapes.append(m.shape)
+        return eig_hermitian(m)
+
+    monkeypatch.setattr(hilbert, "eig_hermitian", spy)
+    hilbert.exact_spectrum(n)
+    assert shapes == [(d, d) for d in widths]
+    assert 28 <= min(widths[-8:]) and max(widths[-8:]) <= 34  # ell = 7
+    assert max(widths) < max(len(h) for h in hilbert.hamiltonian_blocks(n, 7)) == 246

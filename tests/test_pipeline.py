@@ -119,6 +119,41 @@ def test_exit_code_on_count_shortfall(tmp_path, monkeypatch):
     assert json.loads(path.read_text()) == emitted
 
 
+@pytest.mark.parametrize("n", [6, 9, 10])
+def test_run_builds_each_sector_once(n, monkeypatch):
+    # one highest_weight_blocks and one hamiltonian_blocks call per sector,
+    # shared by the exact diagonalization and the solver
+    calls = {"highest_weight_blocks": [], "hamiltonian_blocks": []}
+    for name, seen in calls.items():
+
+        def spy(n, ell, build=getattr(hilbert, name), seen=seen):
+            seen.append(ell)
+            return build(n, ell)
+
+        monkeypatch.setattr(hilbert, name, spy)
+    report = pipeline.run_pipeline(n)
+    assert calls == {name: list(range(n // 2 + 1)) for name in calls}
+    monkeypatch.undo()
+    assert report.diag_spectrum == hilbert.exact_spectrum(n)
+
+
+def test_audit_catches_a_wrong_ker_s_plus(monkeypatch):
+    # the exact diagonalization runs on the W_q too, so a ker S^+ basis
+    # that misses one state fails both the dimension and the count audit
+    build = hilbert.highest_weight_blocks
+
+    def short(n, ell):
+        kernels = build(n, ell)
+        if (n, ell) == (8, 3):
+            kernels[0] = kernels[0][:, 1:]
+        return kernels
+
+    monkeypatch.setattr(hilbert, "highest_weight_blocks", short)
+    audit = pipeline.run_pipeline(8).audit
+    assert audit["dimension_check"] is False
+    assert audit["count_check"] is False
+
+
 def test_pipeline_merges_levels_with_the_hilbert_rule():
     assert pipeline.merge_levels is hilbert.merge_levels
 
