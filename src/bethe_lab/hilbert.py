@@ -10,15 +10,16 @@ Conventions shared by every module in this package:
   entries, indexed like ``sector_basis(n, ell)``.
 
 H conserves the magnon number ell and commutes with the one-site shift
-U and with total spin, so the package never forms a whole sector.  Each
-(ell, q) momentum block, about C(n, ell)/n wide, is built from the
-columns H|r> of the translation-orbit representatives |r>
-(``translation_orbits``, ``hamiltonian_blocks``), and the same blocks of
-S^+ give ker S^+ momentum by momentum (``highest_weight_blocks``).
-``highest_weight_sector`` is the one place that builds a sector's
-highest-weight blocks: its W_q and K_q = W_q^H H_q W_q are what the
-exact diagonalization (``sector_eigenvalues``, ``exact_spectrum``) and
-the Bethe solver read.  H itself acts on vectors through its n bond
+U, so the package never forms a whole sector: each (ell, q) momentum
+block, about C(n, ell)/n wide, is built from the columns H|r> of the
+translation-orbit representatives |r> (``translation_orbits``,
+``hamiltonian_blocks``), and the same blocks of S^+ give ker S^+
+momentum by momentum (``highest_weight_blocks``).  H also commutes
+with total spin, so every eigenstate lies in the SU(2) multiplet of a
+highest-weight state.  ``highest_weight_sector`` is the one place that
+builds a sector's highest-weight blocks: its W_q and
+K_q = W_q^H H_q W_q are what the exact diagonalization
+(``sector_eigenvalues``, ``exact_spectrum``) and the Bethe solver read.  H itself acts on vectors through its n bond
 swaps (``apply_hamiltonian``).  H and S^+ are real, so block
 (ell, n - q) is the complex conjugate of block (ell, q), and only the
 blocks q <= n/2 are ever eigensolved.
