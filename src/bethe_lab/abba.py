@@ -31,9 +31,11 @@ every eps-coefficient, and the Nepomechie-Wang vectors, which vanish to
 order eps^n, are built that way in float64 with no cancellation.
 
 P_k is real, so conj L_k(L) = -L_k(-conj L), and on real vectors
-T(-conj L) = (-1)^n conj T(L) bit for bit.  The transfer-matrix
-eigenpolynomials use this to run the monodromy at half of their nodes
-and to diagonalize half of the momentum blocks.
+T(-conj L) = (-1)^n conj T(L) bit for bit.  The transfer matrix is
+also Hermitian at real L, t(conj L) = t(L)^H, which is that symmetry
+composed with the site reversal R t(L) R = (-1)^n t(-L).  The
+transfer-matrix eigenpolynomials use the two to run the monodromy at a
+quarter of their nodes and to diagonalize half of the momentum blocks.
 """
 
 from __future__ import annotations
@@ -195,28 +197,35 @@ def transfer_eigenpolynomials(
     fixed: t(u) = 2 u^n + (3n/4 - S(S + 1)) u^(n-2) + (degree <= n - 3),
     since the u^(n-1) term is the trace of a Pauli matrix and the
     u^(n-2) term is -(1/2) sum_{j<k} sigma_j . sigma_k.  So t(u) minus
-    those two terms is sampled at the m = max(n - 2, 1) nodes
-    u_j = i w^j, w = e^(2 pi i / m), and each block's restricted
-    coefficient matrices C_k, k < m, come from a discrete Fourier
-    transform, divided by i^k.  One generic combination sum_k C_k u*^k
-    is diagonalized per block, and since the C_k commute, each
-    eigenvector x gives every C_k as the Rayleigh quotient x^H C_k x;
-    the two exact terms are added back to those.
+    those two terms is sampled at the m = max(2, 2 floor((n - 1)/2))
+    nodes u_j = i w^j, w = e^(2 pi i / m): n - 2 of them for even n > 2
+    and n - 1 for odd n, so that m is even.  Each block's restricted
+    coefficient matrices C_k come from a discrete Fourier transform,
+    divided by i^k, and only the C_k with k < n - 2 are kept, so that
+    the two exact terms stay exact.  One generic combination
+    sum_k C_k u*^k is diagonalized per block, and since the C_k commute,
+    each eigenvector x gives every C_k as the Rayleigh quotient
+    x^H C_k x; the two exact terms are added back to those.
 
-    The representatives are real, so t(-conj u) = (-1)^n conj t(u) on
-    them, and block n - q of t(u) is the conjugate of block q in the
-    conjugate bases W_(n-q) = conj(W_q).  Node m - j is -conj(u_j), so
-    the monodromy runs only at the floor(m/2) + 1 nodes j <= m/2, and
-    the others are filled by conjugation.  Only the blocks q <= n/2 are
-    diagonalized; block n - q has the rows (-1)^(n + k) conj(lambda_k)
-    on the states conj(x).
+    The monodromy runs only at the floor(m/4) + 1 nodes j <= m/4, and
+    two symmetries fill the others.  t(u) is Hermitian at real u, so
+    t(conj u) = t(u)^H, and on the orthonormal momentum states every
+    restricted block at conj(u) is the adjoint of the block at u; node
+    m/2 - j is conj(u_j), so the nodes m/4 < j <= m/2 are the adjoints
+    of the nodes m/2 - j.  The representatives are real, so
+    t(-conj u) = (-1)^n conj t(u) on them, and block n - q of t(u) is
+    the conjugate of block q in the conjugate bases W_(n-q) = conj(W_q);
+    node m - j is -conj(u_j), so the nodes j > m/2 are filled by
+    conjugation.  Only the blocks q <= n/2 are diagonalized; block
+    n - q has the rows (-1)^(n + k) conj(lambda_k) on the states
+    conj(x).
     """
     reps = hilbert.orbit_representatives(n, ell)
     spin = n / 2 - ell
     casimir = 0.75 * n - spin * (spin + 1)
-    m = max(n - 2, 1)
+    m = max(2, 2 * ((n - 1) // 2))
     sampled = []  # sampled[j][q]: block q at node u_j, minus the two exact terms
-    for u in 1j * np.exp(2j * np.pi * np.arange(m // 2 + 1) / m):
+    for u in 1j * np.exp(2j * np.pi * np.arange(m // 4 + 1) / m):
         a, _, _, d = apply_monodromy(u, n, ell, reps)
         a += d
         top = 2 * u**n + casimir * u ** (n - 2)
@@ -226,7 +235,10 @@ def transfer_eigenpolynomials(
                 for w, block in zip(kernels, hilbert.momentum_blocks(a, n, ell))
             ]
         )
+    # node m/2 - j is conj(u_j), where every block is the adjoint of its block at u_j
+    sampled += [[s.conj().T for s in sampled[m // 2 - j]] for j in range(m // 4 + 1, m // 2 + 1)]
     sign = (-1) ** n
+    k = np.arange(n - 2)  # the exact terms are added back to C_(n-2) and C_n
     lam, states = [], []
     for q in range(n // 2 + 1):
         # node m - j is -conj(u_j), where block q is (-1)^n conj(block -q mod n at u_j)
@@ -235,14 +247,14 @@ def transfer_eigenpolynomials(
             + [sign * sampled[m - j][-q].conj() for j in range(m // 2 + 1, m)]
         )
         np.fft.fft(stack, axis=0, out=stack)
-        stack /= (m * 1j ** np.arange(m))[:, None, None]  # stack[k] = C_k
-        _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT ** np.arange(m), stack, 1))
-        lam.append(np.array([((c @ vecs) * vecs.conj()).sum(axis=0) for c in stack]).T)
+        stack = stack[k] / (m * 1j**k)[:, None, None]  # stack[k] = C_k
+        _, vecs = np.linalg.eig(np.tensordot(_SPLIT_POINT**k, stack, 1))
+        lam.append(((stack @ vecs) * vecs.conj()).sum(axis=1).T)
         states.append(vecs)
     # block q > n/2 has C_k = (-1)^(n + k) conj(C_k of block n - q), on conj(x)
-    lam += [sign * (-1) ** np.arange(m) * lam[n - q].conj() for q in range(n // 2 + 1, n)]
+    lam += [sign * (-1) ** k * lam[n - q].conj() for q in range(n // 2 + 1, n)]
     states += [states[n - q].conj() for q in range(n // 2 + 1, n)]
-    lam = np.pad(np.concatenate(lam), ((0, 0), (0, n + 1 - m)))
+    lam = np.pad(np.concatenate(lam), ((0, 0), (0, 3)))
     lam[:, n - 2] += casimir
     lam[:, n] += 2
     return lam, states

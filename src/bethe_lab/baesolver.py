@@ -89,12 +89,8 @@ class SolverConfig:
 
 
 def _root_key(z: complex) -> tuple[float, float]:
+    """The canonical root order: descending real part, then descending imag, to 9 digits."""
     return (-round(z.real, 9), -round(z.imag, 9))
-
-
-def canonical_roots(roots) -> tuple[complex, ...]:
-    """Deterministic root order: descending real part, then descending imag."""
-    return tuple(sorted((complex(z) for z in roots), key=_root_key))
 
 
 def _pair_side(z: complex) -> int:
@@ -214,27 +210,54 @@ def nw_constants(rootset: RootSet) -> tuple[complex, complex]:
     return complex(c1), complex(c2)
 
 
+def _classify_rows(n: int, roots: np.ndarray):
+    """``classify`` on each row of a (d, ell) array of root sets, rows sorted.
+
+    Returns the snapped roots, each row in canonical (``_root_key``) order,
+    the mask of the snapped pair in them (its two entries in each
+    singular row, none in a regular one), the classifications, and the
+    order of the rows: they come sorted by their canonical roots,
+    stably, as ``solve_sector`` returns its sets, and row k is input
+    row ``order[k]``.
+    """
+    plus, minus = (abs(roots - 0.5j * side) <= TOL_SINGULAR for side in (1, -1))
+    singular = (plus.any(axis=1) & minus.any(axis=1))[:, None]
+    # the first root near each of i/2 and -i/2 becomes the exact pair
+    first = [near & (near.cumsum(axis=1) == 1) & singular for near in (plus, minus)]
+    pair = first[0] | first[1]
+    roots = np.where(first[0], 0.5j, np.where(first[1], -0.5j, roots))
+    near_pair = singular & (plus | minus) & ~pair  # a pole of the nw_constants formulas
+    close = abs(roots[:, :, None] - roots[:, None, :]) <= TOL_EQUAL
+    strange = near_pair.any(axis=1) | np.triu(close, 1).any(axis=(1, 2))
+    tags = np.where(strange, STRANGE, np.where(singular[:, 0], NONPHYSICAL_SINGULAR, REGULAR))
+    # the canonical order: _root_key within each row, then the rows by their keys, both stable
+    keys = np.reshape([_root_key(z) for z in roots.ravel().tolist()], (*roots.shape, 2))
+    order = np.lexsort((keys[..., 1], keys[..., 0]), axis=1)
+    roots, pair = np.take_along_axis(roots, order, axis=1), np.take_along_axis(pair, order, axis=1)
+    keys = np.take_along_axis(keys, order[..., None], axis=1).tolist()  # [[re, im], ...] a row
+    rows = sorted(range(len(roots)), key=keys.__getitem__)
+    roots, pair, tags = roots[rows], pair[rows], tags[rows]
+    for k in np.flatnonzero(tags == NONPHYSICAL_SINGULAR):
+        c1, c2 = nw_constants(RootSet(n, tuple(roots[k].tolist())))
+        if abs(c1 - c2) <= 1e-8 * max(1.0, abs(c1), abs(c2)):
+            tags[k] = PHYSICAL_SINGULAR
+    return roots, pair, tags, rows
+
+
 def classify(rootset: RootSet) -> RootSet:
     """Tag a root set as regular / physical / non-physical / strange.
 
-    This is where the singular-pair rule lives: a set holding the pair
-    {i/2, -i/2} within ``TOL_SINGULAR`` gets that pair exactly, and it is
-    strange when another of its roots also lies within ``TOL_SINGULAR``
-    of i/2 or -i/2 (a pole of the ``nw_constants`` formulas), as it is
-    when two roots agree within ``TOL_EQUAL``.  The roots come back in
-    ``canonical_roots`` order.
+    This is where the singular-pair rule lives, for one set here and for
+    a sector's sets at once in ``solve_sector``, both through
+    ``_classify_rows``: a set holding the pair {i/2, -i/2} within
+    ``TOL_SINGULAR`` gets that pair exactly, and it is strange when
+    another of its roots also lies within ``TOL_SINGULAR`` of i/2 or
+    -i/2 (a pole of the ``nw_constants`` formulas), as it is when two
+    roots agree within ``TOL_EQUAL``.  The roots come back in canonical
+    (``_root_key``) order.
     """
-    others = singular_partners(rootset.roots)
-    roots = rootset.roots if others is None else (0.5j, -0.5j, *others)
-    rootset = replace(rootset, roots=canonical_roots(roots))
-    if _has_duplicates(rootset.roots, TOL_EQUAL) or any(map(_pair_side, others or ())):
-        return replace(rootset, classification=STRANGE)
-    if others is None:
-        return replace(rootset, classification=REGULAR)
-    c1, c2 = nw_constants(rootset)
-    if abs(c1 - c2) <= 1e-8 * max(1.0, abs(c1), abs(c2)):
-        return replace(rootset, classification=PHYSICAL_SINGULAR)
-    return replace(rootset, classification=NONPHYSICAL_SINGULAR)
+    roots, _, tags, _ = _classify_rows(rootset.n, np.array([rootset.roots], dtype=complex))
+    return replace(rootset, roots=tuple(roots[0].tolist()), classification=str(tags[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +328,23 @@ def solve_sector(
     relative TQ residual of its Q is at most ``TQ_TOL``, when
     ``classify`` tags it regular or physical singular, and when its
     closed-form energy (``energy.energy_of``) equals <x|H|x> / <x|x>
-    within ``ENERGY_TOL`` * max(1, |E|).  x is taken in the coordinates
-    of W_q's columns, where it was found, so <x|H|x> is x^H K_q x.  The
-    singular-pair rule is ``classify``'s alone: it gives a set holding
-    the pair {i/2, -i/2} that pair exactly, tags it strange when another
-    root collides with the pair, and returns the roots in canonical
-    order.  A state that fails is dropped, so it shows up as a count
-    shortfall in the caller's audit against the rigged configuration
-    census; no check looks for repeated sets, because two highest-weight
-    states never share one Lambda (Mukhin, Tarasov & Varchenko).  The
-    roots are exactly real or come in exact conjugate pairs, and a state
-    whose Lambda is not real is dropped (see ``_tq_roots``).
-    ``residual`` is the TQ residual.
+    within ``ENERGY_TOL`` * max(1, |E|); a gap that is nan fails.  x is
+    taken in the coordinates of W_q's columns, where it was found, so
+    <x|H|x> is x^H K_q x.  The singular-pair rule is ``classify``'s
+    alone: it gives a set holding the pair {i/2, -i/2} that pair
+    exactly, tags it strange when another root collides with the pair,
+    and returns the roots in canonical order.  The three checks run once
+    per sector, on the (d, ell) array of its states' roots, through the
+    array forms of ``classify`` (``_classify_rows``) and of
+    ``energy.energy_of`` (``energy.energies_of``), which give each set
+    the same bits as the one-set calls; a ``RootSet`` is built only for
+    a state that is kept.  A state that fails is dropped, so it shows up
+    as a count shortfall in the caller's audit against the rigged
+    configuration census; no check looks for repeated sets, because two
+    highest-weight states never share one Lambda (Mukhin, Tarasov &
+    Varchenko).  The roots are exactly real or come in exact conjugate
+    pairs, and a state whose Lambda is not real is dropped (see
+    ``_tq_roots``).  ``residual`` is the TQ residual.
     """
     # local: abba and energy import this module at their top
     from . import abba, energy
@@ -332,19 +360,15 @@ def solve_sector(
         [(x.conj() * (k @ x)).sum(0).real / (abs(x) ** 2).sum(0) for k, x in zip(k_blocks, states)]
     )
 
-    out = []
-    for roots, tq_residual, e_state in zip(*_tq_roots(lam_coeffs, n, ell), rayleigh):
-        if not tq_residual <= TQ_TOL:
-            continue
-        rs = classify(RootSet(n, tuple(roots), residual=float(tq_residual)))
-        if rs.classification not in (REGULAR, PHYSICAL_SINGULAR):
-            continue
-        e = energy.energy_of(rs)
-        gap = abs(complex(e.energy - e_state, e.imag_leak))
-        if gap > ENERGY_TOL * max(1.0, abs(e.energy)):
-            continue
-        out.append(rs)
-
-    out.sort(key=lambda rs: tuple(map(_root_key, rs.roots)))
-    return out
+    roots, tq_residual = _tq_roots(lam_coeffs, n, ell)
+    rows = np.flatnonzero(tq_residual <= TQ_TOL)
+    roots, pair, tags, order = _classify_rows(n, roots[rows])
+    rows = rows[order]
+    e = energy.energies_of(roots, pair, tags)  # nan on a row that is neither kind
+    gap = np.hypot(e.real - rayleigh[rows], abs(e.imag))
+    keep = gap <= ENERGY_TOL * np.maximum(1.0, abs(e.real))
+    return [
+        RootSet(n, tuple(r), str(c), float(t))
+        for r, c, t in zip(roots[keep].tolist(), tags[keep], tq_residual[rows[keep]])
+    ]
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 # transfer_eigenvalue is not called here; benchmark/spans.py traces this
 # module's binding of it by name
 from .abba import PoleError, transfer_eigenvalue  # noqa: F401
@@ -45,15 +47,19 @@ class EnergyResult:
 
 
 def _pack(value: complex, method: str) -> EnergyResult:
-    return EnergyResult(float(value.real) + 0.0, method, abs(value.imag))
+    return EnergyResult(float(value.real) + 0.0, method, float(abs(value.imag)))
 
 
-def _magnon_sum(roots) -> complex:
-    """sum_j 1 / (L_j^2 + 1/4): minus twice the energy of the magnons L_j."""
-    total = 0j
-    for z in roots:
-        total += 1.0 / (complex(z) ** 2 + 0.25)
-    return total
+def _magnon_sum(roots) -> np.ndarray:
+    """sum_j 1 / (L_j^2 + 1/4) along the last axis: minus twice the energy of the magnons L_j.
+
+    ``roots`` is one set, or an array with one set per row: ``energy_of``
+    sums one set here, and the energy certificate of
+    ``baesolver.solve_sector`` a sector's sets at once, with the same
+    bits for the same set.
+    """
+    z = np.asarray(roots, dtype=complex)
+    return (1 / (z * z + 0.25)).sum(axis=-1)
 
 
 def energy_regular(rootset: RootSet) -> EnergyResult:
@@ -78,6 +84,25 @@ def energy_of(rootset: RootSet) -> EnergyResult:
     if rootset.classification == PHYSICAL_SINGULAR:
         return energy_nw(rootset)
     raise ValueError(f"no energy defined for classification {rootset.classification!r}")
+
+
+def energies_of(roots: np.ndarray, pair: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """``energy_of`` on every row of classified root sets, as complex numbers.
+
+    ``roots``, ``pair`` and ``tags`` are the snapped roots, the mask of
+    the pair {i/2, -i/2} and the classifications that
+    ``baesolver._classify_rows`` returns.  The real part is the energy
+    and the imaginary part its leak, with the same bits as
+    ``energy_of`` on the same set; a row that is neither regular nor
+    physical singular gets nan.
+    """
+    regular, singular = tags == REGULAR, tags == PHYSICAL_SINGULAR
+    out = np.full(len(roots), np.nan, dtype=complex)
+    out[regular] = -0.5 * _magnon_sum(roots[regular])  # energy_regular
+    # energy_nw, on each singular row without its two pair entries
+    others = roots[singular][~pair[singular]].reshape(singular.sum(), max(roots.shape[1] - 2, 0))
+    out[singular] = -1.0 - 0.5 * _magnon_sum(others)
+    return out
 
 
 def energy_logderiv(rootset: RootSet) -> EnergyResult:

@@ -20,6 +20,7 @@ import bisect
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -172,7 +173,7 @@ def run_pipeline(n: int, cfg: baesolver.SolverConfig | None = None) -> RunReport
 
 
 def _sig12(x: float) -> float:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return x
     return float(f"{x:.12g}") + 0.0  # 12 significant digits, no negative zero
 
@@ -195,7 +196,7 @@ def report_to_dict(report: RunReport) -> dict:
             item = {
                 "roots": [_cnum(z) for z in rs.roots],
                 "classification": rs.classification,
-                "residual": _sig12(rs.residual) if np.isfinite(rs.residual) else None,
+                "residual": _sig12(rs.residual) if math.isfinite(rs.residual) else None,
                 "multiplicity": rec.multiplicity,
                 "energy": _sig12(rec.energy.energy),
                 "energy_method": rec.energy.method,

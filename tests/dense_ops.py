@@ -6,8 +6,10 @@ package's operators against the textbook definitions.  The plain Bethe
 vector, the regularized rapidity list, the epsilon-ladder
 log-derivative energy, the whole-sector ker S^+ basis, the
 full-block exact spectrum, the expansion of momentum-block states into
-sector coordinates and the dense-Toeplitz Nepomechie-Wang series and
-sweep live here too: the package's run needs none of them.
+sector coordinates, the dense-Toeplitz Nepomechie-Wang series and
+sweep, and the one-set loops of ``classify`` and of the magnon sum that
+the package now runs on a sector's root array live here too: the
+package's run needs none of them.
 """
 
 from __future__ import annotations
@@ -28,10 +30,16 @@ from bethe_lab.abba import (
     transfer_eigenvalue,
 )
 from bethe_lab.baesolver import (
+    NONPHYSICAL_SINGULAR,
+    PHYSICAL_SINGULAR,
+    REGULAR,
+    STRANGE,
     TOL_EQUAL,
     TOL_SINGULAR,
     RootSet,
     _has_duplicates,
+    _pair_side,
+    _root_key,
     nw_constants,
     singular_partners,
 )
@@ -428,3 +436,28 @@ def dense_sweep_residuals(
         return float(np.linalg.norm(h @ v - np.real(v.conj() @ (h @ v)) * v))
 
     return tuple(residual(_nw_at(series, n, eps)) for eps in ladder), residual(series[:, n])
+
+
+# ---------------------------------------------------------------------------
+# one-set references of the solver's array checks
+# ---------------------------------------------------------------------------
+
+
+def classify_reference(rootset: RootSet) -> RootSet:
+    """``baesolver.classify`` as a loop over one set's roots."""
+    others = singular_partners(rootset.roots)
+    roots = rootset.roots if others is None else (0.5j, -0.5j, *others)
+    roots = tuple(sorted((complex(z) for z in roots), key=_root_key))
+    if _has_duplicates(roots, TOL_EQUAL) or any(map(_pair_side, others or ())):
+        return RootSet(rootset.n, roots, STRANGE, rootset.residual)
+    if others is None:
+        return RootSet(rootset.n, roots, REGULAR, rootset.residual)
+    c1, c2 = nw_constants(RootSet(rootset.n, roots))
+    physical = abs(c1 - c2) <= 1e-8 * max(1.0, abs(c1), abs(c2))
+    tag = PHYSICAL_SINGULAR if physical else NONPHYSICAL_SINGULAR
+    return RootSet(rootset.n, roots, tag, rootset.residual)
+
+
+def magnon_terms_reference(roots) -> list[complex]:
+    """The terms 1 / (L_j^2 + 1/4) of ``energy._magnon_sum``, in Python complex arithmetic."""
+    return [1.0 / (complex(z) ** 2 + 0.25) for z in roots]

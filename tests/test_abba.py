@@ -375,9 +375,10 @@ def _sector_states(n, ell, kernels, blocks):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_transfer_eigenpolynomials_match_full_dft(n):
     # t(u) restricted to ker S^+ at all n + 1 roots of unity, transformed
-    # here; the package runs the monodromy at only floor(m/2) + 1 of its
-    # m = max(n - 2, 1) nodes i w^j, fills the rest by conjugation, and
-    # adds the fixed 2 u^n + (3n/4 - S(S + 1)) u^(n-2) back by hand
+    # here; the package runs the monodromy at only floor(m/4) + 1 of its
+    # m = max(2, 2 floor((n - 1)/2)) nodes i w^j, fills the rest by the
+    # adjoint and by conjugation, and adds the fixed
+    # 2 u^n + (3n/4 - S(S + 1)) u^(n-2) back by hand
     nodes = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     for ell in range(n // 2 + 1):
         kernels = hilbert.highest_weight_blocks(n, ell)
@@ -427,6 +428,22 @@ def test_monodromy_at_minus_conjugate_rapidity(n):
 
 
 @pytest.mark.parametrize("n", range(2, 11))
+def test_transfer_blocks_at_conjugate_rapidity_are_adjoints(n):
+    # t(u) is Hermitian at real u, so t(conj u) = t(u)^H, and on the
+    # orthonormal momentum states every block T_q(conj u) = T_q(u)^H
+    for ell in range(n // 2 + 1):
+        reps = hilbert.orbit_representatives(n, ell)
+        for u in _random_lams(2, seed=60 + n):
+            blocks = []
+            for lam in (u, u.conjugate()):
+                a, _, _, d = abba.apply_monodromy(lam, n, ell, reps)
+                blocks.append(hilbert.momentum_blocks(a + d, n, ell))
+            for q, (at_u, at_conj) in enumerate(zip(*blocks, strict=True)):
+                scale = max(1.0, np.abs(at_u).max(initial=0.0))
+                assert np.abs(at_conj - at_u.conj().T).max(initial=0.0) <= 1e-13 * scale, (ell, q, u)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
 def test_transfer_eigenpolynomials_conjugate_blocks(n):
     # block q > n/2 is derived from block n - q: Lambda rows
     # (-1)^(n + k) conj(lambda_k) on the states conj(x)
@@ -440,7 +457,8 @@ def test_transfer_eigenpolynomials_conjugate_blocks(n):
 
 
 def test_transfer_eigenpolynomials_run_half_the_nodes(monkeypatch):
-    # floor(m/2) + 1 monodromy runs of the m = max(n - 2, 1) nodes
+    # floor(m/4) + 1 monodromy runs of the m = max(2, 2 floor((n - 1)/2))
+    # nodes: 3, 3, 4 and 4 at n = 10, 12, 14 and 15
     calls = []
     apply_monodromy = abba.apply_monodromy
 
@@ -450,11 +468,11 @@ def test_transfer_eigenpolynomials_run_half_the_nodes(monkeypatch):
 
     monkeypatch.setattr(abba, "apply_monodromy", counting)
     for n in range(2, 11):
-        m = max(n - 2, 1)
+        m = max(2, 2 * ((n - 1) // 2))
         for ell in range(1, n // 2 + 1):
             calls.clear()
             abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
-            assert len(calls) == m // 2 + 1, (n, ell)
+            assert len(calls) == m // 4 + 1, (n, ell)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])

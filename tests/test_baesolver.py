@@ -187,6 +187,63 @@ def test_classify_snaps_the_singular_pair_into_canonical_order():
     assert rs.classification == (bs.PHYSICAL_SINGULAR if physical else bs.NONPHYSICAL_SINGULAR)
 
 
+def _assert_rows_match_one_set_path(n, rows):
+    # the sector's array path gives, row for row, the snapped canonical
+    # roots, the classification and the energy bits of classify and energy_of
+    from bethe_lab import energy
+
+    roots, pair, tags, order = bs._classify_rows(n, np.asarray(rows, dtype=complex))
+    energies = energy.energies_of(roots, pair, tags)
+    assert sorted(order) == list(range(len(rows)))
+    want = [bs.classify(bs.RootSet(n, tuple(rows[k]))) for k in order]
+    keys = [tuple(map(bs._root_key, rs.roots)) for rs in want]
+    assert keys == sorted(keys)  # the rows come in solve_sector's order
+    for k, rs in enumerate(want):
+        assert tuple(roots[k].tolist()) == rs.roots, (n, rs)
+        assert tags[k] == rs.classification, (n, rs)
+        assert pair[k].sum() == (0 if bs.singular_partners(rs.roots) is None else 2), (n, rs)
+        # the loop the array path replaced: the same sets and tags
+        ref = dense_ops.classify_reference(bs.RootSet(n, tuple(rows[order[k]])))
+        assert (ref.roots, ref.classification) == (rs.roots, rs.classification), (n, rs)
+        if rs.classification in (bs.REGULAR, bs.PHYSICAL_SINGULAR):
+            e = energy.energy_of(rs)
+            assert (e.energy, e.imag_leak) == (float(energies[k].real) + 0.0, abs(energies[k].imag)), rs
+            # numpy divides in another order than Python: a few ulp of each term
+            others = bs.singular_partners(rs.roots)
+            terms = dense_ops.magnon_terms_reference(rs.roots if others is None else others)
+            loop = -0.5 * sum(terms) - (0.0 if others is None else 1.0)
+            assert abs(complex(e.energy, energies[k].imag) - loop) <= 1e-14 * sum(map(abs, terms)), rs
+        else:
+            assert np.isnan(energies[k]), rs
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sector_rows_match_one_set_classify_and_energy(n):
+    # every TQ candidate, kept or dropped by either certificate
+    for ell in range(1, n // 2 + 1):
+        lam_coeffs, _ = abba.transfer_eigenpolynomials(n, ell, hilbert.highest_weight_blocks(n, ell))
+        _assert_rows_match_one_set_path(n, bs._tq_roots(lam_coeffs, n, ell)[0])
+
+
+def test_stored_and_strange_rows_match_one_set_classify(nonphysical_singular):
+    for n, sets in nonphysical_singular.items():
+        for ell in {rs.ell for rs in sets}:
+            _assert_rows_match_one_set_path(n, [rs.roots for rs in sets if rs.ell == ell])
+    strange = [
+        (0.3, 0.3, -0.2),  # a duplicate root
+        (0.2 + 0.5j, 0.2 + 0.5j + 5e-11, 0.1),  # a duplicate within TOL_EQUAL
+        (0.5j, -0.5j, 0.5j + 1e-7),  # a third root within TOL_SINGULAR of i/2
+        (-0.5j + 2e-7, 0.5j, 0.5j - 3e-7j),  # the first of two near i/2 is snapped
+        (0.5j, -0.5j, -0.5j - 4e-7),
+        (0.5j + 1e-9, 0.4, -0.5j),  # physical or not, snapped as classify snaps
+        (0.5j - 5e-7j, 0.1, -0.1),  # half of the pair: regular
+        (0.5j, -0.5j, 0.0),
+    ]
+    _assert_rows_match_one_set_path(6, strange)
+    roots, _, tags, order = bs._classify_rows(6, np.array(strange))
+    assert [tags[list(order).index(k)] for k in range(5)] == [bs.STRANGE] * 5
+
+
 # ---------------------------------------------------------------------------
 # sector solves against the published tables
 # ---------------------------------------------------------------------------

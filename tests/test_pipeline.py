@@ -228,7 +228,7 @@ def _close_levels(got: list[dict], want: list[dict]) -> bool:
     )
 
 
-@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("n", [7, 8, 10, 12])
 def test_report_matches_reference(n):
     # the stored reports were written by an earlier version of the
     # package; a refactor that keeps results must keep this one passing
